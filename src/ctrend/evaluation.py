@@ -9,7 +9,18 @@ correlation is recorded, and feeds are ranked by their mean fold score.
 
 Per-side factorizations switch between a primal (covariance) and a dual
 (Gram) route depending on which matrix is smaller; both produce the same
-kernel spectrum, so results do not depend on the route. All randomness is
+kernel spectrum, so results do not depend on the route.
+
+Inner folds on the primal route (dense data no wider than the fold's
+training set) are scored together, one batch per outer fold. The outer
+training block is cut at every inner test-block start and end and every
+discard-buffer end; each segment's count, mean and centered scatter are
+formed once, and each inner fold's covariance is combined from its own
+training segments only. Smaller lags are trailing sub-blocks of the
+lag-max covariance, so each lag runs one ``eigh`` over all inner folds,
+and the top canonical pair comes from the smaller Gram matrix of the
+reduced problem. Other inner folds are scored one at a time by the
+generic route, which factors the pool side once per fold. All randomness is
 confined to the shuffle control, with per-task seeds derived from the
 master seed, the feed id and the task purpose; given identical inputs the
 whole analysis is deterministic regardless of worker count.
@@ -29,11 +40,13 @@ from .embedding import embed_columns, pool_excluding
 from .exceptions import (
     DegenerateProjection,
     NotEnoughFeeds,
+    NumericalFailure,
     TooShortForFolds,
     UnknownFeed,
 )
 from .kcca import (
     KAPPA_FLOOR,
+    RANK_RTOL,
     KccaModel,
     PrimalWeights,
     center_cross,
@@ -43,10 +56,14 @@ from .kcca import (
     _canonical_pair,
     _canonical_pairs,
     _psd_eigenbasis,
+    _top_pairs,
 )
 
 # dense conversion threshold for embedded matrices (elements)
 _DENSE_LIMIT = 4_000_000
+
+# memory budget of the batched primal inner scorer (bytes)
+_BATCH_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -279,62 +296,133 @@ def _pearson_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _score_fold_primal(data: _FeedData, train_idx, test_idx,
-                       kappas: np.ndarray) -> np.ndarray:
-    """Score every (lag, kappa) grid point on one fold, sharing work.
+def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Training mean and centered scatter of each fold, from segment moments.
 
-    The lag-L embedding consists of the last L blocks of the lag-max
-    embedding, so the centered covariance, cross-covariance and test
-    columns for every smaller lag are trailing sub-blocks of the lag-max
-    ones and need computing only once per fold.
+    Works on Z, the lag-max embedding stacked on the trimmed pool, over the
+    plan's axis. The axis is cut wherever some fold's test block or discard
+    buffer starts or ends, so every segment lies wholly inside or outside
+    each fold's training set. Count, mean and centered Z Z^T are computed
+    once per segment; a fold's scatter is then the sum over its training
+    segments of M2_s + n_s d_s d_s^T with d_s = mean_s - mean, in segment
+    order (Chan, Golub & LeVeque 1979). Test and discard segments never
+    enter it. Returns means (folds, D) and scatters (folds, D, D).
+    """
+    axis = plan.axis
+    z = np.vstack((data.emb[data.grid.max_lag][:, axis], data.pool_trim[:, axis]))
+    folds = [plan.folds[i] for i in fold_ids]
+    spans = []  # per fold: [test start, discard end) in axis positions
+    cuts = {0, len(axis)}
+    for fold in folds:
+        start = int(np.searchsorted(axis, fold.test_indices[0]))
+        end = start + len(fold.test_indices)
+        spans.append((start, end + len(fold.discarded_indices)))
+        cuts.update((start, end, spans[-1][1]))
+    cuts = sorted(cuts)
+    counts = np.diff(cuts).astype(float)
+    seg_mean = np.empty((len(counts), z.shape[0]))
+    seg_m2 = np.empty((len(counts), z.shape[0], z.shape[0]))
+    for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        zc = z[:, lo:hi]
+        seg_mean[j] = zc.mean(axis=1)
+        zc = zc - seg_mean[j][:, None]
+        seg_m2[j] = zc @ zc.T
+    starts = np.asarray(cuts[:-1])
+    means = np.empty((len(folds), z.shape[0]))
+    scatter = np.empty((len(folds), z.shape[0], z.shape[0]))
+    for f, (lo, hi) in enumerate(spans):
+        train = (starts < lo) | (starts >= hi)
+        n_s = counts[train]
+        means[f] = n_s @ seg_mean[train] / n_s.sum()
+        delta = seg_mean[train] - means[f]
+        scatter[f] = seg_m2[train].sum(axis=0) + (delta * n_s[:, None]).T @ delta
+    return means, scatter
+
+
+def _batched_eigenbases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_psd_eigenbasis` over a stack of matrices in one ``eigh`` call.
+
+    Returns eigenvalues and vectors in descending order plus the kept rank
+    per matrix (the RANK_RTOL cut); a rank of 0 marks a degenerate matrix.
+    """
+    try:
+        theta, u = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"kernel eigendecomposition failed: {e}") from None
+    theta = theta[:, ::-1]
+    u = u[:, :, ::-1]
+    top = theta[:, :1]
+    rank = np.where(top[:, 0] > 0.0, (theta > top * RANK_RTOL).sum(axis=1), 0)
+    return theta, u, rank
+
+
+def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
+                       kappas: np.ndarray) -> np.ndarray:
+    """Score every (lag, kappa) grid point on a batch of inner folds.
+
+    All folds are scored together: moments come from :func:`_fold_moments`,
+    the lag-L embedding is the last L blocks of the lag-max one (so its
+    covariance is a trailing sub-block), each lag runs one ``eigh`` over
+    the folds' covariance blocks, and the top pair comes from the small
+    side via :func:`_top_pairs`. Folds are grouped by kept ranks. A fold
+    whose pool side has no variance, or a lag whose feed side has none,
+    scores zero. Returns one (lags, kappas) table per fold in ``fold_ids``.
     """
     grid = data.grid
     w_dim = data.x_raw.shape[0]
-    emb_max = data.emb[grid.max_lag]
-    d_max = emb_max.shape[0]
-    scores = np.zeros((len(grid.lags), len(kappas)))
-
-    a_tr = emb_max[:, train_idx]
-    mean_x = a_tr.mean(axis=1)
-    ac = a_tr - mean_x[:, None]
-    y_tr = data.pool_trim[:, train_idx]
-    mean_y = y_tr.mean(axis=1)
-    yc = y_tr - mean_y[:, None]
-    theta_y, p_y = _psd_eigenbasis(yc @ yc.T)  # pool degenerate aborts the fold
-    sig_y = np.sqrt(theta_y)
-    cov_x = ac @ ac.T
-    cov_xy = ac @ yc.T
-    x_te = emb_max[:, test_idx] - mean_x[:, None]
-    y_te_proj = p_y.T @ (data.pool_trim[:, test_idx] - mean_y[:, None])
-
-    for li, lag in enumerate(grid.lags):
+    d_max = data.emb[grid.max_lag].shape[0]
+    n_k = len(kappas)
+    means, scatter = _fold_moments(data, plan, fold_ids)
+    theta_y, p_y, rank_y = _batched_eigenbases(scatter[:, d_max:, d_max:])
+    sig_y = np.sqrt(np.maximum(theta_y, 0.0))
+    # per fold, the feed- and pool-side weights of every (lag, kappa) row
+    w_x = np.zeros((len(fold_ids), len(grid.lags), n_k, d_max))
+    w_y = np.zeros((len(fold_ids), len(grid.lags), n_k, theta_y.shape[1]))
+    live = np.flatnonzero(rank_y > 0)
+    for li, lag in enumerate(grid.lags if len(live) else ()):
         rows = slice(d_max - w_dim * lag, d_max)
-        try:
-            theta_x, p_x = _psd_eigenbasis(cov_x[rows, rows])
-        except DegenerateProjection:
-            continue
-        sig_x = np.sqrt(theta_x)
-        cross = (p_x / sig_x).T @ cov_xy[rows] @ (p_y / sig_y)
-        _, a, b = _canonical_pairs(theta_x, theta_y, cross, kappas)
-        u = (a * sig_x) @ (p_x.T @ x_te[rows])
-        v = (b * sig_y) @ y_te_proj
-        scores[li] = _pearson_rows(u, v)
-    return scores
+        theta_x, p_x, rank_x = _batched_eigenbases(scatter[live, rows, rows])
+        sig_x = np.sqrt(np.maximum(theta_x, 0.0))
+        ranks = np.stack([rank_x, rank_y[live]], axis=1)
+        for rx, ry in sorted({tuple(r) for r in ranks if r[0] > 0}):
+            g = np.flatnonzero((ranks[:, 0] == rx) & (ranks[:, 1] == ry))
+            f = live[g]
+            px, sx = p_x[g, :, :rx], sig_x[g, :rx]
+            py, sy = p_y[f, :, :ry], sig_y[f, :ry]
+            cross = (np.swapaxes(px / sx[:, None, :], 1, 2)
+                     @ scatter[f, rows, d_max:]) @ (py / sy[:, None, :])
+            _, a, b = _top_pairs(theta_x[g, :rx], theta_y[f, :ry], cross, kappas)
+            w_x[f, li, :, rows] = (a * sx[:, None, :]) @ np.swapaxes(px, 1, 2)
+            w_y[f, li] = (b * sy[:, None, :]) @ np.swapaxes(py, 1, 2)
+
+    tables = np.zeros((len(fold_ids), len(grid.lags), n_k))
+    for f in live:
+        test = plan.folds[fold_ids[f]].test_indices
+        x_te = data.emb[grid.max_lag][:, test] - means[f, :d_max, None]
+        y_te = data.pool_trim[:, test] - means[f, d_max:, None]
+        u = w_x[f].reshape(-1, d_max) @ x_te
+        v = w_y[f].reshape(-1, w_y.shape[-1]) @ y_te
+        tables[f] = _pearson_rows(u, v).reshape(len(grid.lags), n_k)
+    return tables
 
 
 def _score_fold_generic(data: _FeedData, train_idx, test_idx,
                         kappas: np.ndarray) -> np.ndarray:
     grid = data.grid
     scores = np.zeros((len(grid.lags), len(kappas)))
+    try:
+        sy = _SideFactor(data.pool_trim, train_idx, data.gram_y)
+    except DegenerateProjection:
+        return scores  # pool side has no variance: fold scores zero
+    prep_y = sy.prepare_cols(test_idx)
     for li, lag in enumerate(grid.lags):
         try:
             sx = _SideFactor(data.emb[lag], train_idx, data.gram_x[lag])
-            sy = _SideFactor(data.pool_trim, train_idx, data.gram_y)
         except DegenerateProjection:
             continue  # counts as zero for every kappa
         cross = sx.cross_with(sy)
         prep_x = sx.prepare_cols(test_idx)
-        prep_y = sy.prepare_cols(test_idx)
         _, a, b = _canonical_pairs(sx.theta, sy.theta, cross, kappas)
         scores[li] = _pearson_rows(sx.project_batch(a, prep_x),
                                    sy.project_batch(b, prep_y))
@@ -361,16 +449,23 @@ def _nested_select(data: _FeedData, train_positions, n_inner: int
                             data.trim)
     kappas = np.asarray(grid.kappas)
     emb_max = data.emb[grid.max_lag]
+    d_max = emb_max.shape[0]
+    side = d_max + data.pool_trim.shape[0]
+    # primal when the data are dense and no wider than the fold's training
+    # set; those folds are scored in one batch unless its moment and
+    # eigenvector stacks (about 6 per fold) would outgrow _BATCH_BYTES
+    primal = [i for i, fold in enumerate(inner_plan.folds)
+              if isinstance(emb_max, np.ndarray)
+              and isinstance(data.pool_trim, np.ndarray)
+              and d_max <= len(fold.train_indices)]
+    tables = {}
+    if primal and (6 * n_inner + 1) * side * side * 8 <= _BATCH_BYTES:
+        tables = dict(zip(primal, _score_fold_primal(data, inner_plan, primal,
+                                                     kappas)))
     scores = np.zeros((len(grid.lags), len(kappas)))
-    for fold in inner_plan.folds:
-        fast = (isinstance(emb_max, np.ndarray)
-                and emb_max.shape[0] <= len(fold.train_indices))
-        if fast:
-            try:
-                scores += _score_fold_primal(data, fold.train_indices,
-                                             fold.test_indices, kappas)
-            except DegenerateProjection:
-                pass  # pool side has no variance: fold scores zero
+    for i, fold in enumerate(inner_plan.folds):
+        if i in tables:
+            scores += tables[i]
         else:
             scores += _score_fold_generic(data, fold.train_indices,
                                           fold.test_indices, kappas)
@@ -734,6 +829,36 @@ def mean_correlogram(correlograms: list[list[tuple[int, float | None]]]
     return out
 
 
+def _check_inner_cv(plan: FoldPlan, n_inner: int) -> None:
+    """Fail before any fitting when the shortest outer training block cannot
+    hold the inner CV, naming the corpus length or inner fold count that
+    would."""
+    trim, k = plan.n_lags, plan.n_folds
+    need = n_inner * (trim + 2)
+
+    def shortest(p: FoldPlan) -> int:
+        return min(len(f.train_indices) for f in p.folds)
+
+    have = shortest(plan)
+    if have >= need:
+        return
+    fixes = []
+    if k > 1:
+        # a non-last fold drops at least floor(T_eff / k) test samples and
+        # trim discards, which bounds T_eff from below; step up from there
+        t_eff = max(-(-(need + trim - 1) * k // (k - 1)), k * (trim + 2))
+        while shortest(plan_folds(t_eff, k, trim)) < need:
+            t_eff += 1
+        fixes.append(f"T >= {t_eff + trim}")
+    if have // (trim + 2) >= 2:
+        fixes.append(f"--inner-folds <= {have // (trim + 2)}")
+    raise TooShortForFolds(
+        f"inner CV: the shortest outer training block has {have} samples, "
+        f"too few for {n_inner} inner folds with {trim} lags (need at least "
+        f"{need}); use " + (" or ".join(fixes) or "more outer folds")
+    )
+
+
 def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
             seed: int = 0, feed_ids: list[str] | None = None,
             with_lsa: bool = False, with_shuffle: bool = False,
@@ -752,6 +877,7 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     grid = grid or HyperGrid()
     trim = grid.max_lag
     plan = plan_folds(corpus.T - trim, n_folds, trim)
+    _check_inner_cv(plan, n_inner)
 
     if feed_ids is None:
         feed_ids = corpus.feed_ids

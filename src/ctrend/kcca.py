@@ -209,6 +209,42 @@ def _canonical_pairs(theta_x: np.ndarray, theta_y: np.ndarray,
     return lams, a, b
 
 
+def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
+               kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_canonical_pairs` for a stack of problems, top pair only.
+
+    ``theta_x`` (g, rx), ``theta_y`` (g, ry) and ``cross`` (g, rx, ry) give
+    per problem and kappa the eigenvalue (g, k) and the rows a (g, k, rx),
+    b (g, k, ry). Instead of a full SVD of each reduced matrix M it takes
+    the top eigenvector of the smaller Gram matrix (M^T M or M M^T) and
+    recovers the other side as M v / s; the reduction stays exact. Where M
+    is zero the recovered side is zero rather than undefined.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    if kappas.min() < KAPPA_FLOOR:
+        raise SingularRhs(
+            f"kappa={kappas.min():g} below floor {KAPPA_FLOOR:g}; right-hand "
+            f"side would be singular on centered kernels"
+        )
+    sqrt_dx = np.sqrt(theta_x[:, None, :] ** 2 + kappas[:, None])  # (g, k, rx)
+    sqrt_dy = np.sqrt(theta_y[:, None, :] ** 2 + kappas[:, None])  # (g, k, ry)
+    m = (theta_x[:, None, :] / sqrt_dx)[..., :, None] * cross[:, None] \
+        * (theta_y[:, None, :] / sqrt_dy)[..., None, :]
+    mt = np.swapaxes(m, -1, -2)
+    small_right = m.shape[-1] <= m.shape[-2]
+    try:
+        _, vecs = np.linalg.eigh(mt @ m if small_right else m @ mt)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"reduced eigensolve did not converge: {e}") from None
+    top = vecs[..., -1]
+    other = ((m if small_right else mt) @ top[..., None])[..., 0]
+    s = np.linalg.norm(other, axis=-1)
+    other = np.divide(other, s[..., None], out=np.zeros_like(other),
+                      where=s[..., None] > 0)
+    u, v = (other, top) if small_right else (top, other)
+    return s, u / sqrt_dx, v / sqrt_dy
+
+
 def _canonical_pair(theta_x: np.ndarray, theta_y: np.ndarray,
                     cross: np.ndarray, kappa: float
                     ) -> tuple[float, np.ndarray, np.ndarray]:

@@ -261,6 +261,21 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert report["config"]["seed"] == 123
 
 
+def test_analyze_names_infeasible_inner_cv(tmp_path, capsys):
+    corpus_dir = tmp_path / "toy"
+    assert run(["synth", "--mode", "toy", "--seed", 1, "--T", 140,
+                "--out", corpus_dir]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
+                "--folds", 10, "--lags", "1..10"]) == 1
+    err = capsys.readouterr().err
+    assert "inner CV" in err
+    assert "T >= 155" in err and "--inner-folds <= 8" in err
+    assert not (tmp_path / "out").exists()  # failed before any fitting
+    assert run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
+                "--folds", 10, "--lags", "1..10", "--inner-folds", 8]) == 0
+
+
 def test_analyze_missing_corpus(tmp_path, capsys):
     assert run(["analyze", "--corpus", tmp_path / "nope",
                 "--out", tmp_path / "out"]) == 1

@@ -1,3 +1,4 @@
+import copy
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,8 +27,13 @@ from ctrend.corpus import Corpus, FeedSeries, Vocabulary
 from ctrend.evaluation import (
     FeedReport,
     _FeedData,
+    _batched_eigenbases,
     _fit_feed_fold,
+    _fold_moments,
+    _nested_select,
     _sample_permutation,
+    _score_fold_generic,
+    _score_fold_primal,
     derive_seed,
     fit_feed_fold,
     mean_correlogram,
@@ -39,7 +45,8 @@ from ctrend.exceptions import (
     TooShortForFolds,
     UnknownFeed,
 )
-from ctrend.kcca import center_cross, center_kernel, linear_kernel
+from ctrend.kcca import _psd_eigenbasis, center_cross, center_kernel, linear_kernel
+from ctrend.synth import LeaderConfig, generate_leader
 from oracles import brute_lagged_pearson, power_iteration_top
 
 T0 = datetime(2011, 10, 1, tzinfo=timezone.utc)
@@ -556,3 +563,166 @@ def test_training_blind_to_test_block():
         assert (base.n_lags, base.kappa) == (redo.n_lags, redo.kappa)
         # the buffer is structurally excluded from training
         assert not set(fold.discarded_indices) & set(fold.train_indices)
+
+
+# ---------------------------------------------------------------------------
+# batched primal inner scoring
+
+def _inner_plan(data, n_outer, n_inner, outer=0):
+    t_eff = data.pool_trim.shape[1]
+    outer_plan = plan_folds(t_eff, n_outer, data.trim)
+    return plan_folds(outer_plan.folds[outer].train_indices, n_inner, data.trim)
+
+
+def _generic_tables(data, plan):
+    kappas = np.asarray(data.grid.kappas)
+    return np.stack([_score_fold_generic(data, f.train_indices, f.test_indices,
+                                         kappas) for f in plan.folds])
+
+
+def _batched_tables(data, plan):
+    ids = list(range(len(plan.folds)))
+    return _score_fold_primal(data, plan, ids, np.asarray(data.grid.kappas))
+
+
+def test_batched_scorer_matches_generic_on_toy():
+    c = generate_toy(ToyConfig(T=800, seed=1))
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                     SMALL_GRID, SMALL_GRID.max_lag)
+    plan = _inner_plan(data, 5, 5, outer=2)
+    batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
+    assert np.abs(batched - generic).max() < 1e-12
+    assert np.abs(generic).max() > 0.5
+
+
+def test_batched_scorer_matches_generic_on_leader():
+    c = generate_leader(LeaderConfig(F=5, W=12, T=2000, seed=3))
+    grid = HyperGrid(lags=tuple(range(1, 7)))
+    data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader").matrix,
+                     grid, grid.max_lag)
+    plan = _inner_plan(data, 10, 10, outer=4)
+    batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
+    assert np.abs(batched - generic).max() < 1e-12
+
+
+def test_batched_scorer_rank_cut_groups_folds():
+    """Duplicated feed rows force a rank cut everywhere; a term that only
+    occurs inside one inner test block cuts that fold's rank further, so
+    the folds fall into different rank groups."""
+    rng = np.random.default_rng(7)
+    T, grid = 600, HyperGrid(lags=(1, 2, 3), kappas=(1e-3, 1e-1, 1.0))
+    latent = rng.standard_normal(T + 2)
+    base = latent[2:][None, :] * rng.standard_normal((2, 1)) \
+        + 0.5 * rng.standard_normal((2, T))
+    x = np.vstack([base, base, np.zeros((1, T))])
+    pool = latent[:T][None, :] * rng.standard_normal((3, 1)) \
+        + 0.5 * rng.standard_normal((3, T))
+    probe = _FeedData(x, pool, grid, grid.max_lag)
+    plan = _inner_plan(probe, 5, 5)
+    hidden = plan.folds[1].test_indices + grid.max_lag  # raw times
+    x[4, hidden] = rng.standard_normal(len(hidden))
+    data = _FeedData(x, pool, grid, grid.max_lag)
+
+    d_max = data.emb[grid.max_lag].shape[0]
+    _, scatter = _fold_moments(data, plan, range(len(plan.folds)))
+    _, _, ranks = _batched_eigenbases(scatter[:, :d_max, :d_max])
+    assert ranks.max() < d_max
+    assert ranks[1] < ranks[0] == ranks[2]
+
+    batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
+    assert np.abs(batched - generic).max() < 1e-12
+
+
+def test_batched_scorer_constant_pool_fold_scores_zero():
+    rng = np.random.default_rng(8)
+    T, grid = 500, HyperGrid(lags=(1, 2), kappas=(1e-2, 1.0))
+    x = rng.standard_normal((3, T))
+    pool = np.full((3, T), 0.5)
+    probe = _FeedData(x, pool, grid, grid.max_lag)
+    plan = _inner_plan(probe, 4, 4)
+    # the pool varies only inside fold 2's test block, so fold 2 trains on
+    # a constant pool while every other fold sees that block in training
+    times = plan.folds[2].test_indices + grid.max_lag
+    pool[:, times] = x[:, times - 1] + 0.1 * rng.standard_normal((3, len(times)))
+    data = _FeedData(x, pool, grid, grid.max_lag)
+    with np.errstate(all="raise"):
+        batched = _batched_tables(data, plan)
+    generic = _generic_tables(data, plan)
+    assert np.all(batched[2] == 0.0)
+    assert np.abs(batched - generic).max() < 1e-12
+
+
+def test_nested_select_mixes_routes_when_folds_are_narrower_than_d(monkeypatch):
+    """Inner folds with fewer training columns than the embedding dimension
+    take the generic route; the others are batched. The mean table still
+    equals the all-generic one."""
+    import ctrend.evaluation as ev
+    routes = []
+    for name in ("_score_fold_primal", "_score_fold_generic"):
+        def spy(*args, _fn=getattr(ev, name), _name=name):
+            routes.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(ev, name, spy)
+    rng = np.random.default_rng(9)
+    grid = HyperGrid(lags=(1,), kappas=(1e-2, 1.0))
+    T = 300
+    outer = plan_folds(T - 1, 5, 1).folds[0]
+    inner = plan_folds(outer.train_indices, 5, 1)
+    sizes = [len(f.train_indices) for f in inner.folds]
+    w = max(sizes)  # d = w: the last fold (no discard) is primal, others not
+    assert min(sizes) < w
+    latent = rng.standard_normal(T)
+    x = np.outer(rng.standard_normal(w), latent) + rng.standard_normal((w, T))
+    pool = np.outer(rng.standard_normal(4), np.roll(latent, 1)) \
+        + 0.5 * rng.standard_normal((4, T))
+    data = _FeedData(x, pool, grid, 1)
+    _, _, scores = _nested_select(data, outer.train_indices, 5)
+    narrow = sum(n < w for n in sizes)
+    assert sorted(routes) == ["_score_fold_generic"] * narrow + ["_score_fold_primal"]
+    expected = _generic_tables(data, inner).sum(axis=0) / 5
+    assert np.abs(scores - expected).max() < 1e-12
+
+
+def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
+    c = generate_toy(ToyConfig(T=600, seed=4))
+    grid = SMALL_GRID
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                     grid, grid.max_lag)
+    plan = _inner_plan(data, 5, 5, outer=3)
+    ids = list(range(len(plan.folds)))
+    means, scatter = _fold_moments(data, plan, ids)
+    emb = data.emb[grid.max_lag]
+    z = np.vstack((emb, data.pool_trim))
+    rng = np.random.default_rng(10)
+    for f, fold in enumerate(plan.folds):
+        zt = z[:, fold.train_indices]
+        mu = zt.mean(axis=1)
+        direct = (zt - mu[:, None]) @ (zt - mu[:, None]).T
+        assert np.abs(means[f] - mu).max() <= 1e-12 * np.abs(mu).max()
+        assert np.abs(scatter[f] - direct).max() <= 1e-12 * np.abs(direct).max()
+
+        held = np.concatenate([fold.test_indices, fold.discarded_indices])
+        noisy = copy.copy(data)
+        noisy.emb = dict(data.emb)
+        noisy.emb[grid.max_lag] = emb.copy()
+        noisy.emb[grid.max_lag][:, held] = 1e3 * rng.standard_normal(
+            (emb.shape[0], len(held)))
+        noisy.pool_trim = data.pool_trim.copy()
+        noisy.pool_trim[:, held] = -7.0
+        means2, scatter2 = _fold_moments(noisy, plan, ids)
+        assert np.array_equal(means2[f], means[f])
+        assert np.array_equal(scatter2[f], scatter[f])
+
+
+@pytest.mark.parametrize("d", [12, 36, 72])
+def test_batched_eigenbases_bit_equal_per_matrix(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((6, d + 4, d + 9))
+    full = a @ a.transpose(0, 2, 1)
+    for stack in (full[:, :d, :d], full[:, 4:, 4:]):  # sub-block views
+        theta, u, rank = _batched_eigenbases(stack)
+        for i in range(len(stack)):
+            ref_theta, ref_u = _psd_eigenbasis(stack[i])
+            assert rank[i] == len(ref_theta)
+            assert np.array_equal(theta[i, :rank[i]], ref_theta)
+            assert np.array_equal(u[i, :, :rank[i]], ref_u)

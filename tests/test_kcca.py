@@ -323,3 +323,45 @@ def test_oracle_invariant_under_linear_transforms():
         a = r.standard_normal((4, 4)) + 4 * np.eye(4)
         b = r.standard_normal((3, 3)) + 4 * np.eye(3)
         assert abs(input_space_cca(a @ x, b @ y) - base) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched top pair from the small side
+
+@pytest.mark.parametrize("rx, ry", [(30, 7), (7, 30), (9, 9)])
+def test_top_pairs_match_full_svd(rx, ry):
+    from ctrend.kcca import _canonical_pairs, _top_pairs
+    rng = np.random.default_rng(rx * 100 + ry)
+    kappas = np.array([1e-5, 1e-2, 1.0, 10.0])
+    theta_x = np.sort(rng.random((3, rx)) * 5)[:, ::-1] + 1e-3
+    theta_y = np.sort(rng.random((3, ry)) * 5)[:, ::-1] + 1e-3
+    cross = rng.standard_normal((3, rx, ry))
+    lams, a, b = _top_pairs(theta_x, theta_y, cross, kappas)
+    assert lams.shape == (3, 4) and a.shape == (3, 4, rx) and b.shape == (3, 4, ry)
+    for g in range(3):
+        ref_l, ref_a, ref_b = _canonical_pairs(theta_x[g], theta_y[g], cross[g],
+                                               kappas)
+        assert np.allclose(lams[g], ref_l, rtol=1e-12, atol=0)
+        # the pair is defined up to a joint sign
+        sign = np.sign(np.einsum("ki,ki->k", a[g], ref_a))[:, None]
+        assert np.allclose(sign * a[g], ref_a, rtol=0, atol=1e-10)
+        assert np.allclose(sign * b[g], ref_b, rtol=0, atol=1e-10)
+
+
+def test_top_pairs_zero_cross_is_finite_and_silent():
+    from ctrend.kcca import _top_pairs
+    theta_x = np.array([[3.0, 1.0, 0.5]])
+    theta_y = np.array([[2.0, 0.1]])
+    with np.errstate(all="raise"):
+        lams, a, b = _top_pairs(theta_x, theta_y, np.zeros((1, 3, 2)),
+                                np.array([1e-3, 1.0]))
+    assert np.all(lams == 0.0)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    assert np.all(a == 0.0)  # the recovered side carries no direction
+
+
+def test_top_pairs_kappa_floor():
+    from ctrend.kcca import _top_pairs
+    with pytest.raises(SingularRhs):
+        _top_pairs(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2, 2)),
+                   np.array([1e-9]))
