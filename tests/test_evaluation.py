@@ -683,6 +683,21 @@ def test_nested_select_mixes_routes_when_folds_are_narrower_than_d(monkeypatch):
     assert np.abs(scores - expected).max() < 1e-12
 
 
+def test_nested_select_over_budget_scores_fold_by_fold(monkeypatch):
+    import ctrend.evaluation as ev
+    c = generate_toy(ToyConfig(T=600, seed=5))
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                     SMALL_GRID, SMALL_GRID.max_lag)
+    train = plan_folds(600 - SMALL_GRID.max_lag, 5, SMALL_GRID.max_lag
+                       ).folds[1].train_indices
+    batched = _nested_select(data, train, 5)
+    monkeypatch.setattr(ev, "_BATCH_BYTES", 0)
+    monkeypatch.setattr(ev, "_score_fold_primal", None)  # must not be called
+    fallback = _nested_select(data, train, 5)
+    assert batched[:2] == fallback[:2]
+    assert np.abs(batched[2] - fallback[2]).max() < 1e-12
+
+
 def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
     c = generate_toy(ToyConfig(T=600, seed=4))
     grid = SMALL_GRID
