@@ -11,19 +11,21 @@ Per-side factorizations switch between a primal (covariance) and a dual
 (Gram) route depending on which matrix is smaller; both produce the same
 kernel spectrum, so results do not depend on the route.
 
-Inner folds on the primal route (dense data no wider than the fold's
-training set) are scored together, one batch per outer fold. The outer
-training block is cut at every inner test-block start and end and every
-discard-buffer end; each segment's count, mean and centered scatter are
-formed once, and each inner fold's covariance is combined from its own
-training segments only. Smaller lags are trailing sub-blocks of the
-lag-max covariance, so each lag runs one ``eigh`` over all inner folds,
-and the top canonical pair comes from the smaller Gram matrix of the
-reduced problem. Other inner folds are scored one at a time by the
-generic route, which factors the pool side once per fold. All randomness is
-confined to the shuffle control, with per-task seeds derived from the
-master seed, the feed id and the task purpose; given identical inputs the
-whole analysis is deterministic regardless of worker count.
+Inner folds on the primal route (dense embedding no wider than the fold's
+training set) are scored together: all of an outer fold's inner folds in
+one batch, or in several when a batch would outgrow ``_BATCH_BYTES``. The
+outer training block is cut at every inner test-block start and end and
+every discard-buffer end of the batch's folds; each segment's count, mean
+and centered scatter are formed once, and each inner fold's covariance is
+combined from its own training segments only. Smaller lags are trailing
+sub-blocks of the lag-max covariance, so each lag runs one ``eigh`` over
+the batch's inner folds, and the top canonical pair comes from the
+smaller Gram matrix of the reduced problem. Other inner folds are scored
+one at a time by the generic route, which factors the pool side once per
+fold. All randomness is confined to the shuffle control, with per-task
+seeds derived from the master seed, the feed id and the task purpose;
+given identical inputs the whole analysis is deterministic regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -62,8 +64,10 @@ from .kcca import (
 # dense conversion threshold for embedded matrices (elements)
 _DENSE_LIMIT = 4_000_000
 
-# memory budget of the batched primal inner scorer (bytes)
-_BATCH_BYTES = 256 * 2**20
+# memory bound of one batch of the primal inner scorer (bytes): a batch of
+# c folds holds about 4c D x D matrices (scatter, the eigh input and output
+# and the previous lag's basis), D = lag-max embedding + pool dimension
+_BATCH_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -304,13 +308,15 @@ def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
     plan's axis. The axis is cut wherever some fold's test block or discard
     buffer starts or ends, so every segment lies wholly inside or outside
     each fold's training set. Count, mean and centered Z Z^T are computed
-    once per segment; a fold's scatter is then the sum over its training
-    segments of M2_s + n_s d_s d_s^T with d_s = mean_s - mean, in segment
-    order (Chan, Golub & LeVeque 1979). Test and discard segments never
-    enter it. Returns means (folds, D) and scatters (folds, D, D).
+    once per segment that some fold trains on; a fold's scatter is then the
+    sum over its training segments of M2_s + n_s d_s d_s^T with
+    d_s = mean_s - mean, in segment order (Chan, Golub & LeVeque 1979).
+    Test and discard segments never enter it. Returns means (folds, D) and
+    scatters (folds, D, D).
     """
     axis = plan.axis
-    z = np.vstack((data.emb[data.grid.max_lag][:, axis], data.pool_trim[:, axis]))
+    z = np.vstack((data.emb[data.grid.max_lag][:, axis],
+                   _cols(data.pool_trim, axis)))
     folds = [plan.folds[i] for i in fold_ids]
     spans = []  # per fold: [test start, discard end) in axis positions
     cuts = {0, len(axis)}
@@ -320,23 +326,24 @@ def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
         spans.append((start, end + len(fold.discarded_indices)))
         cuts.update((start, end, spans[-1][1]))
     cuts = sorted(cuts)
+    starts = np.asarray(cuts[:-1])
+    train = np.array([(starts < lo) | (starts >= hi) for lo, hi in spans])
     counts = np.diff(cuts).astype(float)
-    seg_mean = np.empty((len(counts), z.shape[0]))
-    seg_m2 = np.empty((len(counts), z.shape[0], z.shape[0]))
-    for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        zc = z[:, lo:hi]
+    seg_mean = np.zeros((len(counts), z.shape[0]))
+    scatter = np.zeros((len(folds), z.shape[0], z.shape[0]))
+    for j in np.flatnonzero(train.any(axis=0)):
+        zc = z[:, cuts[j]:cuts[j + 1]]
         seg_mean[j] = zc.mean(axis=1)
         zc = zc - seg_mean[j][:, None]
-        seg_m2[j] = zc @ zc.T
-    starts = np.asarray(cuts[:-1])
+        m2 = zc @ zc.T
+        for f in np.flatnonzero(train[:, j]):
+            scatter[f] += m2
     means = np.empty((len(folds), z.shape[0]))
-    scatter = np.empty((len(folds), z.shape[0], z.shape[0]))
-    for f, (lo, hi) in enumerate(spans):
-        train = (starts < lo) | (starts >= hi)
-        n_s = counts[train]
-        means[f] = n_s @ seg_mean[train] / n_s.sum()
-        delta = seg_mean[train] - means[f]
-        scatter[f] = seg_m2[train].sum(axis=0) + (delta * n_s[:, None]).T @ delta
+    for f, own in enumerate(train):
+        n_s = counts[own]
+        means[f] = n_s @ seg_mean[own] / n_s.sum()
+        delta = seg_mean[own] - means[f]
+        scatter[f] += (delta * n_s[:, None]).T @ delta
     return means, scatter
 
 
@@ -400,7 +407,7 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     for f in live:
         test = plan.folds[fold_ids[f]].test_indices
         x_te = data.emb[grid.max_lag][:, test] - means[f, :d_max, None]
-        y_te = data.pool_trim[:, test] - means[f, d_max:, None]
+        y_te = _cols(data.pool_trim, test) - means[f, d_max:, None]
         u = w_x[f].reshape(-1, d_max) @ x_te
         v = w_y[f].reshape(-1, w_y.shape[-1]) @ y_te
         tables[f] = _pearson_rows(u, v).reshape(len(grid.lags), n_k)
@@ -450,18 +457,18 @@ def _nested_select(data: _FeedData, train_positions, n_inner: int
     kappas = np.asarray(grid.kappas)
     emb_max = data.emb[grid.max_lag]
     d_max = emb_max.shape[0]
-    side = d_max + data.pool_trim.shape[0]
-    # primal when the data are dense and no wider than the fold's training
-    # set; those folds are scored in one batch unless its moment and
-    # eigenvector stacks (about 6 per fold) would outgrow _BATCH_BYTES
+    # primal when the embedding is dense and no wider than the fold's
+    # training set; those folds are scored in batches of _BATCH_BYTES
     primal = [i for i, fold in enumerate(inner_plan.folds)
               if isinstance(emb_max, np.ndarray)
-              and isinstance(data.pool_trim, np.ndarray)
               and d_max <= len(fold.train_indices)]
+    side = d_max + data.pool_trim.shape[0]
+    size = max(1, _BATCH_BYTES // (4 * 8 * side * side))
     tables = {}
-    if primal and (6 * n_inner + 1) * side * side * 8 <= _BATCH_BYTES:
-        tables = dict(zip(primal, _score_fold_primal(data, inner_plan, primal,
-                                                     kappas)))
+    for lo in range(0, len(primal), size):
+        ids = primal[lo:lo + size]
+        tables.update(zip(ids, _score_fold_primal(data, inner_plan, ids,
+                                                  kappas)))
     scores = np.zeros((len(grid.lags), len(kappas)))
     for i, fold in enumerate(inner_plan.folds):
         if i in tables:

@@ -683,19 +683,30 @@ def test_nested_select_mixes_routes_when_folds_are_narrower_than_d(monkeypatch):
     assert np.abs(scores - expected).max() < 1e-12
 
 
-def test_nested_select_over_budget_scores_fold_by_fold(monkeypatch):
+def test_nested_select_splits_primal_folds_into_bounded_batches(monkeypatch):
+    """Under a tiny memory bound every primal fold is its own batch; the
+    folds stay on the primal route and the table matches the one-batch
+    one."""
     import ctrend.evaluation as ev
     c = generate_toy(ToyConfig(T=600, seed=5))
     data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
                      SMALL_GRID, SMALL_GRID.max_lag)
     train = plan_folds(600 - SMALL_GRID.max_lag, 5, SMALL_GRID.max_lag
                        ).folds[1].train_indices
-    batched = _nested_select(data, train, 5)
+    batches = []
+
+    def spy(data, plan, fold_ids, kappas, _fn=ev._score_fold_primal):
+        batches.append(list(fold_ids))
+        return _fn(data, plan, fold_ids, kappas)
+
+    monkeypatch.setattr(ev, "_score_fold_primal", spy)
+    whole = _nested_select(data, train, 5)
     monkeypatch.setattr(ev, "_BATCH_BYTES", 0)
-    monkeypatch.setattr(ev, "_score_fold_primal", None)  # must not be called
-    fallback = _nested_select(data, train, 5)
-    assert batched[:2] == fallback[:2]
-    assert np.abs(batched[2] - fallback[2]).max() < 1e-12
+    monkeypatch.setattr(ev, "_score_fold_generic", None)  # must not be called
+    split = _nested_select(data, train, 5)
+    assert batches == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
+    assert whole[:2] == split[:2]
+    assert np.abs(whole[2] - split[2]).max() < 1e-12
 
 
 def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
