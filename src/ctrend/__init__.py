@@ -31,7 +31,6 @@ from .embedding import (  # noqa: E402
 )
 from .kcca import (  # noqa: E402
     KccaModel,
-    KernelPair,
     PrimalWeights,
     center_cross,
     center_kernel,
@@ -56,7 +55,6 @@ from .evaluation import (  # noqa: E402
     plan_folds,
     rank_feeds,
     shuffle_control,
-    test_correlation,
 )
 from .synth import (  # noqa: E402
     LeaderConfig,
@@ -69,15 +67,14 @@ from .synth import (  # noqa: E402
 __all__ = [
     "__version__",
     "AnalysisResult", "Corpus", "Document", "EmbeddedMatrix", "FeedReport",
-    "FeedSeries", "FoldPlan", "HyperGrid", "KccaModel", "KernelPair",
-    "LeaderConfig", "PooledSeries", "PrimalWeights", "Ranking", "ToyConfig",
-    "Vocabulary",
+    "FeedSeries", "FoldPlan", "HyperGrid", "KccaModel", "LeaderConfig",
+    "PooledSeries", "PrimalWeights", "Ranking", "ToyConfig", "Vocabulary",
     "analyze", "build_vocabulary", "canonical_correlogram", "center_cross",
     "center_kernel", "corpus_content_hash", "emit_trend", "featurize",
     "generate_leader", "generate_toy", "linear_kernel", "load_corpus",
     "lsa_baseline", "lsa_direction", "nested_select", "pearson_correlation",
     "plan_folds", "pool_excluding", "project", "rank_feeds",
     "read_documents_jsonl", "recover_primal", "shuffle_control", "solve_kcca",
-    "store_corpus", "temporal_embed", "test_correlation", "tfidf_normalize",
-    "tokenize", "trim_pool", "write_generated",
+    "store_corpus", "temporal_embed", "tfidf_normalize", "tokenize",
+    "trim_pool", "write_generated",
 ]

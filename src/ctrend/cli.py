@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from zoneinfo import ZoneInfo
 
 from . import __version__
@@ -66,6 +66,16 @@ def parse_kappas(spec: str) -> tuple[float, ...]:
     return tuple(float(p) for p in spec.split(","))
 
 
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def integer(spec: str) -> int:
+        value = int(spec)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return integer
+
+
 def _resolve_seed(value) -> int:
     if value is not None:
         return int(value)
@@ -113,16 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the trend-setter pipeline")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_at_least(2), default=10)
     p.add_argument("--lags", default="1..10")
     p.add_argument("--kappas", default="1e-5..1e1")
-    p.add_argument("--inner-folds", type=int, default=10)
+    p.add_argument("--inner-folds", type=_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--feeds", default=None,
                    help="comma-separated feed filter (pools still use all feeds)")
     p.add_argument("--baseline-lsa", action="store_true")
     p.add_argument("--shuffle-control", action="store_true")
-    p.add_argument("--top-words", type=int, default=10)
+    p.add_argument("--top-words", type=_at_least(0), default=10)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-v", "--verbose", action="count", default=0)
 
@@ -133,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--feed", required=True)
         p.add_argument("--out", required=True)
         if name == "topwords":
-            p.add_argument("--top", type=int, default=10)
+            p.add_argument("--top", type=_at_least(0), default=10)
 
     return parser
 

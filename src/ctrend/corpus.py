@@ -136,18 +136,6 @@ class Corpus:
             if not self.synthetic and f.matrix.nnz and f.matrix.data.min() < 0:
                 raise ValueError(f"feed {f.feed_id!r} contains negative values")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Corpus)
-            and self.vocabulary == other.vocabulary
-            and self.t0 == other.t0
-            and self.bin_hours == other.bin_hours
-            and self.T == other.T
-            and self.normalization == other.normalization
-            and self.synthetic == other.synthetic
-            and self.feeds == other.feeds
-        )
-
 
 def _sparse_equal(a: sp.spmatrix, b: sp.spmatrix) -> bool:
     if a.shape != b.shape:

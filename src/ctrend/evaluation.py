@@ -30,6 +30,7 @@ worker count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from .exceptions import (
     DegenerateProjection,
     NotEnoughFeeds,
     NumericalFailure,
+    TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
 )
@@ -53,9 +55,8 @@ from .kcca import (
     PrimalWeights,
     center_cross,
     center_kernel,
+    linear_kernel,
     pearson_correlation,
-    project,
-    _canonical_pair,
     _canonical_pairs,
     _psd_eigenbasis,
     _top_pairs,
@@ -119,6 +120,8 @@ def plan_folds(axis, n_folds: int, n_lags: int) -> FoldPlan:
     the test block go to the discard buffer: their embedding windows
     overlap the test block, so training on them would leak test data.
     """
+    if n_folds < 2:
+        raise TooFewFolds(f"blocked CV needs at least 2 folds, got {n_folds}")
     if np.isscalar(axis):
         axis = np.arange(int(axis))
     else:
@@ -154,11 +157,6 @@ def _as_dense_if_small(m):
     return m
 
 
-def _gram(a) -> np.ndarray:
-    k = (a.T @ a).toarray() if sp.issparse(a) else a.T @ a
-    return (k + k.T) / 2.0
-
-
 def _cols(m, idx) -> np.ndarray:
     sub = m[:, idx]
     return sub.toarray() if sp.issparse(sub) else np.asarray(sub, dtype=float)
@@ -187,7 +185,7 @@ class _SideFactor:
             self.theta, self.basis = _psd_eigenbasis(self.ac @ self.ac.T)
             self.sigma = np.sqrt(self.theta)
         else:
-            self.k_full = gram_fn() if gram_fn is not None else _gram(data_full)
+            self.k_full = gram_fn() if gram_fn is not None else linear_kernel(data_full)
             k_train = self.k_full[np.ix_(self.train_idx, self.train_idx)]
             kc, self.means = center_kernel(k_train)
             self.theta, self.basis = _psd_eigenbasis(kc)
@@ -209,16 +207,11 @@ class _SideFactor:
         return np.asarray(w).ravel()
 
     def prepare_cols(self, idx) -> np.ndarray:
-        """Centered evaluation data for :meth:`project_prepared`."""
+        """Centered evaluation data for :meth:`project_batch`."""
         idx = np.asarray(idx, dtype=int)
         if self.primal:
             return _cols(self.data_full, idx) - self.mean[:, None]
         return center_cross(self.k_full[np.ix_(self.train_idx, idx)], self.means)
-
-    def project_prepared(self, a: np.ndarray, prepared: np.ndarray) -> np.ndarray:
-        if self.primal:
-            return self.primal_weight(a) @ prepared
-        return self.dual_coef(a) @ prepared
 
     def project_batch(self, a_rows: np.ndarray, prepared: np.ndarray) -> np.ndarray:
         """Project a whole batch of coefficient rows at once: (k, m)."""
@@ -255,19 +248,6 @@ class FoldOutcome:
     inner_scores: np.ndarray | None = field(default=None, repr=False)
 
 
-class _lazy_gram:
-    """Compute a full-axis Gram matrix on first use, then cache it."""
-
-    def __init__(self, data):
-        self.data = data
-        self.k = None
-
-    def __call__(self) -> np.ndarray:
-        if self.k is None:
-            self.k = _gram(self.data)
-        return self.k
-
-
 class _FeedData:
     """Per-feed precomputed views shared by every fold and grid point.
 
@@ -284,8 +264,9 @@ class _FeedData:
         self.pool_trim = self.pool_raw[:, trim:]
         self.emb = {lag: _as_dense_if_small(_embed_on_axis(self.x_raw, lag, trim))
                     for lag in grid.lags}
-        self.gram_x = {lag: _lazy_gram(self.emb[lag]) for lag in grid.lags}
-        self.gram_y = _lazy_gram(self.pool_trim)
+        self.gram_x = {lag: functools.cache(functools.partial(linear_kernel, emb))
+                       for lag, emb in self.emb.items()}
+        self.gram_y = functools.cache(functools.partial(linear_kernel, self.pool_trim))
 
 
 def _pearson_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -495,45 +476,38 @@ def nested_select(x_feed, pool, train_positions, grid: HyperGrid, trim: int,
     return _nested_select(data, train_positions, n_inner)
 
 
+def _lag_series(weights: PrimalWeights, x_feed, pool, eval_times
+                ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-lag feed projections w_x(tau)^T X(:, t - tau), tau = 1..n_lags,
+    and the pool projection w_y^T Y(:, t), over absolute evaluation times
+    (on the trimmed axis, so t - tau never underruns)."""
+    eval_times = np.asarray(eval_times, dtype=int)
+    n_lags = weights.w_x.shape[1]
+    if eval_times.min() < n_lags:
+        raise ValueError("evaluation times underrun the earliest usable lag")
+    series_x = [weights.w_x[:, tau - 1] @ _cols(x_feed, eval_times - tau)
+                for tau in range(1, n_lags + 1)]
+    return series_x, weights.w_y @ _cols(pool, eval_times)
+
+
 def canonical_correlogram(weights: PrimalWeights, x_feed, pool,
                           eval_times: np.ndarray
                           ) -> list[tuple[int, float | None]]:
     """Lag-resolved correlation between per-lag feed and pool projections.
 
     For each lag tau, correlates w_x(tau)^T X(:, t - tau) against
-    w_y^T Y(:, t) over the evaluation times (absolute, on the trimmed
-    axis so t - tau never underruns). Lags whose series degenerate are
-    reported as None.
+    w_y^T Y(:, t) over the evaluation times. Lags whose series degenerate
+    are reported as None.
     """
-    eval_times = np.asarray(eval_times, dtype=int)
-    n_lags = weights.w_x.shape[1]
-    if eval_times.min() < n_lags:
-        raise ValueError("evaluation times underrun the earliest usable lag")
-    series_y = weights.w_y @ _cols(pool, eval_times)
+    series_x, series_y = _lag_series(weights, x_feed, pool, eval_times)
     out: list[tuple[int, float | None]] = []
-    for tau in range(1, n_lags + 1):
-        series_x = weights.w_x[:, tau - 1] @ _cols(x_feed, eval_times - tau)
+    for tau, series in enumerate(series_x, start=1):
         try:
-            rho = pearson_correlation(series_x, series_y)
+            rho = pearson_correlation(series, series_y)
         except DegenerateProjection:
             rho = None
         out.append((tau, rho))
     return out
-
-
-def test_correlation(model: KccaModel, kx_cross: np.ndarray,
-                     ky_cross: np.ndarray) -> float:
-    """Pearson correlation of the projected test series.
-
-    The cross blocks (training rows, test columns) must be centered with
-    the training means. Raises DegenerateProjection on zero variance; the
-    pipeline scores such folds as 0 and flags them.
-    """
-    u, v = project(model, kx_cross, ky_cross)
-    return pearson_correlation(u, v)
-
-
-test_correlation.__test__ = False  # not a pytest case, despite the name
 
 
 def _oriented(w_x: np.ndarray, w_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +527,9 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
     except DegenerateProjection:
         return FoldOutcome(fold_index, lag, kappa, 0.0, True, None, None, None,
                            [], inner_scores)
-    lam_raw, a, b = _canonical_pair(sx.theta, sy.theta, sx.cross_with(sy), kappa)
+    lams, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy),
+                                  np.array([kappa]))
+    a, b = a[0], b[0]
     beta = sy.dual_coef(b)
     if beta[np.argmax(np.abs(beta))] < 0:
         a, b, beta = -a, -b, -beta
@@ -563,14 +539,14 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
     lam = pearson_correlation(u_tr, v_tr)
     norms = (float(np.linalg.norm(u_tr - u_tr.mean())),
              float(np.linalg.norm(v_tr - v_tr.mean())))
-    model = KccaModel(alpha, beta, lam, lam_raw, kappa, n_lags=lag,
+    model = KccaModel(alpha, beta, lam, float(lams[0]), kappa, n_lags=lag,
                       train_indices=fold.train_indices, side_norms=norms)
 
     degenerate = False
     try:
         c = pearson_correlation(
-            sx.project_prepared(a, sx.prepare_cols(fold.test_indices)),
-            sy.project_prepared(b, sy.prepare_cols(fold.test_indices)))
+            sx.project_batch(a[None], sx.prepare_cols(fold.test_indices))[0],
+            sy.project_batch(b[None], sy.prepare_cols(fold.test_indices))[0])
     except DegenerateProjection:
         c = 0.0
         degenerate = True
@@ -586,13 +562,6 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
                        w_x, w_y, correlogram, inner_scores)
 
 
-def fit_feed_fold(x_feed, pool, fold: Fold, fold_index: int, grid: HyperGrid,
-                  trim: int, n_inner: int = 10) -> FoldOutcome:
-    """Nested selection plus final fit and held-out scoring for one fold."""
-    return _fit_feed_fold(_FeedData(x_feed, pool, grid, trim), fold,
-                          fold_index, n_inner)
-
-
 # ---------------------------------------------------------------------------
 # baselines and controls
 
@@ -602,11 +571,15 @@ def lsa_direction(m) -> np.ndarray:
     Sign fixed so the largest-magnitude entry is positive.
     """
     d, n = m.shape
-    if d <= n:
-        theta, basis = _psd_eigenbasis(_gram(m.T))
+    if d == 1:  # M M^T is a scalar: the direction is +1 unless M is zero
+        if not abs(m).max() > 0:
+            raise DegenerateProjection("kernel has no positive eigenvalue")
+        return np.ones(1)
+    if d <= n or n == 1:
+        theta, basis = _psd_eigenbasis(linear_kernel(m.T))
         v = basis[:, 0]
     else:
-        theta, basis = _psd_eigenbasis(_gram(m))
+        theta, basis = _psd_eigenbasis(linear_kernel(m))
         u = basis[:, 0]
         v = np.asarray(m @ u).ravel() / np.sqrt(theta[0])
     v = v / np.linalg.norm(v)
@@ -725,14 +698,8 @@ def emit_trend(weights: PrimalWeights, x_feed, pool, eval_times: np.ndarray
     Both series are normalized to unit sum of squares; their Pearson
     correlation equals the fold test correlation on the same indices.
     """
-    eval_times = np.asarray(eval_times, dtype=int)
-    n_lags = weights.w_x.shape[1]
-    if eval_times.min() < n_lags:
-        raise ValueError("evaluation times underrun the earliest usable lag")
-    y = weights.w_y @ _cols(pool, eval_times)
-    yhat = np.zeros(len(eval_times))
-    for tau in range(1, n_lags + 1):
-        yhat += weights.w_x[:, tau - 1] @ _cols(x_feed, eval_times - tau)
+    series_x, y = _lag_series(weights, x_feed, pool, eval_times)
+    yhat = sum(series_x, np.zeros(len(y)))
     ny = np.linalg.norm(y)
     nyhat = np.linalg.norm(yhat)
     if ny == 0.0 or nyhat == 0.0:
@@ -802,8 +769,20 @@ def _run_task(task):
     raise ValueError(f"unknown task kind {kind!r}")
 
 
-def _top_terms(w_x: np.ndarray, terms: list[str], k: int
-               ) -> list[tuple[str, float, int]]:
+def best_fold(outcomes, field=getattr):
+    """The fold whose weights the report shows, or None if no fold has any:
+    the highest held-out correlation, then the lower fold index.
+
+    ``outcomes`` are FoldOutcome objects, or models.json fold entries with
+    ``field=dict.get``.
+    """
+    usable = [o for o in outcomes if field(o, "w_x") is not None]
+    return max(usable, key=lambda o: (field(o, "correlation"), -field(o, "fold")),
+               default=None)
+
+
+def top_terms(w_x: np.ndarray, terms: list[str], k: int
+              ) -> list[tuple[str, float, int]]:
     """Strongest terms of a convolution, by |weight| summed over lags.
 
     Each row reports the term's weight at its strongest lag, normalized by
@@ -840,6 +819,8 @@ def _check_inner_cv(plan: FoldPlan, n_inner: int) -> None:
     """Fail before any fitting when the shortest outer training block cannot
     hold the inner CV, naming the corpus length or inner fold count that
     would."""
+    if n_inner < 2:
+        raise TooFewFolds(f"inner CV needs at least 2 folds, got {n_inner}")
     trim, k = plan.n_lags, plan.n_folds
     need = n_inner * (trim + 2)
 
@@ -849,20 +830,19 @@ def _check_inner_cv(plan: FoldPlan, n_inner: int) -> None:
     have = shortest(plan)
     if have >= need:
         return
-    fixes = []
-    if k > 1:
-        # a non-last fold drops at least floor(T_eff / k) test samples and
-        # trim discards, which bounds T_eff from below; step up from there
-        t_eff = max(-(-(need + trim - 1) * k // (k - 1)), k * (trim + 2))
-        while shortest(plan_folds(t_eff, k, trim)) < need:
-            t_eff += 1
-        fixes.append(f"T >= {t_eff + trim}")
+    # plan_folds guarantees k >= 2. A non-last fold drops at least
+    # floor(T_eff / k) test samples and trim discards, which bounds T_eff
+    # from below; step up from there
+    t_eff = max(-(-(need + trim - 1) * k // (k - 1)), k * (trim + 2))
+    while shortest(plan_folds(t_eff, k, trim)) < need:
+        t_eff += 1
+    fixes = [f"T >= {t_eff + trim}"]
     if have // (trim + 2) >= 2:
         fixes.append(f"--inner-folds <= {have // (trim + 2)}")
     raise TooShortForFolds(
         f"inner CV: the shortest outer training block has {have} samples, "
         f"too few for {n_inner} inner folds with {trim} lags (need at least "
-        f"{need}); use " + (" or ".join(fixes) or "more outer folds")
+        f"{need}); use " + " or ".join(fixes)
     )
 
 
@@ -928,11 +908,9 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
         fold_outcomes[feed_id] = outcomes
         corrs = [o.correlation for o in outcomes]
         p25, p50, p75 = np.percentile(corrs, [25, 50, 75])
-        usable = [o for o in outcomes if o.w_x is not None]
-        top = []
-        if usable:
-            best = max(usable, key=lambda o: (o.correlation, -o.fold))
-            top = _top_terms(best.w_x, corpus.vocabulary.terms, top_k)
+        best = best_fold(outcomes)
+        terms = corpus.vocabulary.terms
+        top = [] if best is None else top_terms(best.w_x, terms, top_k)
         report = FeedReport(
             feed_id=feed_id,
             fold_correlations=corrs,

@@ -37,6 +37,10 @@ class TooFewSamples(CTError):
     """Kernel construction needs at least two samples."""
 
 
+class TooFewFolds(CTError):
+    """Blocked cross-validation needs at least two folds."""
+
+
 class TooShortForFolds(CTError):
     """Time axis too short to carve out the requested folds."""
 
@@ -55,10 +59,6 @@ class SingularRhs(CTError):
 
 class ShapeMismatch(CTError):
     """Incompatible array shapes."""
-
-
-class NonLinearKernel(CTError):
-    """Primal-weight recovery is only defined for linear kernels."""
 
 
 class BadConfig(CTError):

@@ -15,9 +15,8 @@ the eigenvalue. Eigenvectors carrying lambda != 0 always lie in the kernel
 ranges (the kappa I term forces any null-space component to zero), so the
 reduction is exact, not an approximation.
 
-Only the first canonical pair is computed, and only linear kernels ship;
-the kernel matrices themselves are ordinary Gram matrices, so nothing here
-assumes linearity except primal-weight recovery.
+Only the first canonical pair is computed. The kernels are linear (Gram
+matrices), which is what makes primal-weight recovery possible.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import scipy.sparse as sp
 
 from .exceptions import (
     DegenerateProjection,
-    NonLinearKernel,
     NumericalFailure,
     ShapeMismatch,
     SingularRhs,
@@ -103,33 +101,6 @@ def center_cross(k_cross: np.ndarray, means: CenteringMeans) -> np.ndarray:
 
 
 @dataclass
-class KernelPair:
-    """Centered training kernels for the embedded feed and the pool."""
-
-    kx: np.ndarray
-    ky: np.ndarray
-    x_means: CenteringMeans
-    y_means: CenteringMeans
-
-    def validate(self):
-        n = self.kx.shape[0]
-        if self.ky.shape[0] != n:
-            raise ShapeMismatch("kernel sizes differ")
-        for name, k in (("kx", self.kx), ("ky", self.ky)):
-            scale = max(np.abs(k).max(), 1.0)
-            if np.abs(k - k.T).max() > 1e-12 * scale:
-                raise ValueError(f"{name} is not symmetric")
-            if np.abs(k.sum(axis=1)).max() > 1e-8 * n * scale:
-                raise ValueError(f"{name} is not centered")
-
-    @classmethod
-    def from_data(cls, x_embedded, y_trimmed) -> "KernelPair":
-        kx, mx = center_kernel(linear_kernel(x_embedded))
-        ky, my = center_kernel(linear_kernel(y_trimmed))
-        return cls(kx, ky, mx, my)
-
-
-@dataclass
 class KccaModel:
     """First canonical pair in dual coordinates.
 
@@ -147,7 +118,6 @@ class KccaModel:
     n_lags: int | None = None
     train_indices: np.ndarray | None = None
     side_norms: tuple[float, float] = (0.0, 0.0)
-    kernel: str = "linear"
 
 
 @dataclass
@@ -180,14 +150,15 @@ def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta[keep], u[:, keep]
 
 
-def _canonical_pairs(theta_x: np.ndarray, theta_y: np.ndarray,
+def _reduced_problem(theta_x: np.ndarray, theta_y: np.ndarray,
                      cross: np.ndarray, kappas: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top eigenpair of the reduced problem for a whole batch of kappas.
+    """sqrt(theta^2 + kappa) of each side and the reduced matrix M per kappa.
 
-    ``cross`` is Ux^T Uy restricted to the kept components. Returns, per
-    kappa, the eigenvalue and the coefficient rows a, b such that
-    alpha = Ux a, beta = Uy b.
+    Leading axes of ``theta_x`` (..., rx), ``theta_y`` (..., ry) and
+    ``cross`` (..., rx, ry) index a stack of problems; the kappa axis comes
+    right after them: M is (..., k, rx, ry). Raises SingularRhs for a kappa
+    below KAPPA_FLOOR.
     """
     kappas = np.asarray(kappas, dtype=float)
     if kappas.min() < KAPPA_FLOOR:
@@ -195,18 +166,28 @@ def _canonical_pairs(theta_x: np.ndarray, theta_y: np.ndarray,
             f"kappa={kappas.min():g} below floor {KAPPA_FLOOR:g}; right-hand "
             f"side would be singular on centered kernels"
         )
-    sqrt_dx = np.sqrt(theta_x * theta_x + kappas[:, None])  # (k, rx)
-    sqrt_dy = np.sqrt(theta_y * theta_y + kappas[:, None])  # (k, ry)
-    m = (theta_x / sqrt_dx)[:, :, None] * cross[None, :, :] \
-        * (theta_y / sqrt_dy)[:, None, :]
+    sqrt_dx = np.sqrt(theta_x[..., None, :] ** 2 + kappas[:, None])
+    sqrt_dy = np.sqrt(theta_y[..., None, :] ** 2 + kappas[:, None])
+    m = (theta_x[..., None, :] / sqrt_dx)[..., :, None] * cross[..., None, :, :] \
+        * (theta_y[..., None, :] / sqrt_dy)[..., None, :]
+    return sqrt_dx, sqrt_dy, m
+
+
+def _canonical_pairs(theta_x: np.ndarray, theta_y: np.ndarray,
+                     cross: np.ndarray, kappas: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenpair of the reduced problem for a whole batch of kappas.
+
+    ``cross`` is Ux^T Uy restricted to the kept components. Returns, per
+    kappa, the eigenvalue and the coefficient rows a, b such that
+    alpha = Ux a, beta = Uy b. Uses a full SVD of each reduced matrix.
+    """
+    sqrt_dx, sqrt_dy, m = _reduced_problem(theta_x, theta_y, cross, kappas)
     try:
         uu, s, vt = np.linalg.svd(m)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"reduced eigensolve did not converge: {e}") from None
-    lams = s[:, 0]
-    a = uu[:, :, 0] / sqrt_dx
-    b = vt[:, 0, :] / sqrt_dy
-    return lams, a, b
+    return s[:, 0], uu[:, :, 0] / sqrt_dx, vt[:, 0, :] / sqrt_dy
 
 
 def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
@@ -220,16 +201,7 @@ def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
     recovers the other side as M v / s; the reduction stays exact. Where M
     is zero the recovered side is zero rather than undefined.
     """
-    kappas = np.asarray(kappas, dtype=float)
-    if kappas.min() < KAPPA_FLOOR:
-        raise SingularRhs(
-            f"kappa={kappas.min():g} below floor {KAPPA_FLOOR:g}; right-hand "
-            f"side would be singular on centered kernels"
-        )
-    sqrt_dx = np.sqrt(theta_x[:, None, :] ** 2 + kappas[:, None])  # (g, k, rx)
-    sqrt_dy = np.sqrt(theta_y[:, None, :] ** 2 + kappas[:, None])  # (g, k, ry)
-    m = (theta_x[:, None, :] / sqrt_dx)[..., :, None] * cross[:, None] \
-        * (theta_y[:, None, :] / sqrt_dy)[..., None, :]
+    sqrt_dx, sqrt_dy, m = _reduced_problem(theta_x, theta_y, cross, kappas)
     mt = np.swapaxes(m, -1, -2)
     small_right = m.shape[-1] <= m.shape[-2]
     try:
@@ -243,13 +215,6 @@ def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
                       where=s[..., None] > 0)
     u, v = (other, top) if small_right else (top, other)
     return s, u / sqrt_dx, v / sqrt_dy
-
-
-def _canonical_pair(theta_x: np.ndarray, theta_y: np.ndarray,
-                    cross: np.ndarray, kappa: float
-                    ) -> tuple[float, np.ndarray, np.ndarray]:
-    lams, a, b = _canonical_pairs(theta_x, theta_y, cross, np.array([kappa]))
-    return float(lams[0]), a[0], b[0]
 
 
 def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
@@ -269,9 +234,9 @@ def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
         raise TooFewSamples("need at least 2 training samples")
     theta_x, ux = _psd_eigenbasis(kx)
     theta_y, uy = _psd_eigenbasis(ky)
-    lam_raw, a, b = _canonical_pair(theta_x, theta_y, ux.T @ uy, kappa)
-    alpha = ux @ a
-    beta = uy @ b
+    lams, a, b = _canonical_pairs(theta_x, theta_y, ux.T @ uy, np.array([kappa]))
+    alpha = ux @ a[0]
+    beta = uy @ b[0]
     if beta[np.argmax(np.abs(beta))] < 0:
         alpha = -alpha
         beta = -beta
@@ -280,7 +245,7 @@ def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
     lam = pearson_correlation(u, v)
     norms = (float(np.linalg.norm(u - u.mean())),
              float(np.linalg.norm(v - v.mean())))
-    return KccaModel(alpha, beta, lam, lam_raw, kappa, n_lags=n_lags,
+    return KccaModel(alpha, beta, lam, float(lams[0]), kappa, n_lags=n_lags,
                      train_indices=train_indices, side_norms=norms)
 
 
@@ -318,10 +283,6 @@ def recover_primal(model: KccaModel, x_embedded, y_trimmed) -> PrimalWeights:
     vectors of a centered kernel sum to zero, centering the data here
     would not change the result; raw matrices are expected.
     """
-    if model.kernel != "linear":
-        raise NonLinearKernel(
-            f"primal recovery is undefined for kernel {model.kernel!r}"
-        )
     x = x_embedded.matrix if hasattr(x_embedded, "matrix") else x_embedded
     n_lags = getattr(x_embedded, "n_lags", None) or model.n_lags
     if n_lags is None:

@@ -24,9 +24,11 @@ from .embedding import pool_excluding
 from .evaluation import (
     AnalysisResult,
     PrimalWeights,
+    best_fold,
     canonical_correlogram,
     emit_trend,
     mean_correlogram,
+    top_terms,
 )
 from .exceptions import DegenerateProjection, FormatError, UnknownFeed
 
@@ -193,15 +195,8 @@ def write_analysis_outputs(result: AnalysisResult, corpus: Corpus,
     return paths
 
 
-def _best_outcome(outcomes):
-    usable = [o for o in outcomes if o.w_x is not None]
-    if not usable:
-        return None
-    return max(usable, key=lambda o: (o.correlation, -o.fold))
-
-
 def _trend_rows(result: AnalysisResult, corpus: Corpus, feed_id: str) -> list[str]:
-    best = _best_outcome(result.fold_outcomes[feed_id])
+    best = best_fold(result.fold_outcomes[feed_id])
     if best is None:
         return []
     x = corpus.feed(feed_id).matrix
@@ -266,15 +261,10 @@ def write_correlogram_from_models(models: dict, corpus: Corpus, feed_id: str,
 def write_topwords_from_models(models: dict, corpus: Corpus, feed_id: str,
                                out_path: str | Path, top_k: int = 10):
     """Recompute the top-word table from the best stored fold's weights."""
-    from .evaluation import _top_terms
-
-    entries = [e for e in _stored_outcomes(models, feed_id)
-               if e.get("w_x") is not None]
+    best = best_fold(_stored_outcomes(models, feed_id), dict.get)
     rows: list[str] = []
-    if entries:
-        best = max(entries, key=lambda e: (e["correlation"], -e["fold"]))
-        top = _top_terms(np.asarray(best["w_x"], dtype=float),
-                         corpus.vocabulary.terms, top_k)
-        rows = topword_rows(top)
+    if best is not None:
+        rows = topword_rows(top_terms(np.asarray(best["w_x"], dtype=float),
+                                      corpus.vocabulary.terms, top_k))
     _write_csv(Path(out_path), _meta_line(models["seed"], models["corpus_hash"]),
                "term,lag,weight", rows)

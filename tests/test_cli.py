@@ -281,6 +281,37 @@ def test_analyze_missing_corpus(tmp_path, capsys):
                 "--out", tmp_path / "out"]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--folds", 0), ("--folds", 1), ("--inner-folds", 0), ("--inner-folds", 1),
+    ("--top-words", -1)])
+def test_analyze_rejects_bad_counts(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--corpus", tmp_path / "c", "--out", tmp_path / "out",
+             flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_topwords_rejects_negative_top(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["topwords", "--models", tmp_path / "m.json", "--corpus",
+             tmp_path / "c", "--feed", "X", "--out", tmp_path / "t.csv",
+             "--top", -1])
+    assert exc.value.code == 2
+
+
+def test_analyze_lsa_on_one_term_corpus(tmp_path):
+    corpus_dir = tmp_path / "leader"
+    assert run(["synth", "--mode", "leader", "--seed", 0, "--T", 300,
+                "--vocab-size", 1, "--out", corpus_dir]) == 0
+    assert run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
+                "--folds", 4, "--inner-folds", 4, "--lags", "1..3",
+                "--kappas", "1e-2,1", "--baseline-lsa"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["ranking"][0]["feed_id"] == "leader"
+    assert all(len(f["lsa_fold_scores"]) == 4 for f in report["feeds"])
+
+
 def test_featurize_reference_timezone(tmp_path):
     # naive --t0 is interpreted in the reference timezone; documents carry
     # their own offsets, so the same instants land in the same bins

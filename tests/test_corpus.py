@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -192,6 +193,23 @@ def test_tfidf_pattern_only_shrinks():
         assert fa.matrix.nnz <= fb.matrix.nnz
         ra, ca = fa.matrix.nonzero()
         assert np.all(np.asarray(fb.matrix[ra, ca]).ravel() > 0)
+
+
+def test_corpus_equality_covers_every_compared_field():
+    base = _counts_corpus([np.eye(2, 4), np.ones((2, 4))])
+    assert base == dataclasses.replace(base, n_dropped=5)
+    changed = {
+        "vocabulary": Vocabulary(["t0", "tx"]),
+        "t0": T0 + HOUR,
+        "bin_hours": 2.0,
+        "T": 5,
+        "feeds": [base.feeds[0], FeedSeries("f1", sp.csc_matrix((2, 4)))],
+        "normalization": "tfidf",
+        "synthetic": True,
+    }
+    for name, value in changed.items():
+        assert base != dataclasses.replace(base, **{name: value}), name
+    assert base != "not a corpus"
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ from ctrend import (
     lsa_baseline,
     lsa_direction,
     nested_select,
+    pearson_correlation,
     plan_folds,
     pool_excluding,
+    project,
     rank_feeds,
     shuffle_control,
     solve_kcca,
-    test_correlation,
 )
 from ctrend.corpus import Corpus, FeedSeries, Vocabulary
 from ctrend.evaluation import (
@@ -35,13 +36,13 @@ from ctrend.evaluation import (
     _score_fold_generic,
     _score_fold_primal,
     derive_seed,
-    fit_feed_fold,
     mean_correlogram,
     select_best_grid_point,
 )
 from ctrend.exceptions import (
     DegenerateProjection,
     NotEnoughFeeds,
+    TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
 )
@@ -90,6 +91,12 @@ def test_plan_folds_last_block_no_discard():
 def test_plan_folds_too_short():
     with pytest.raises(TooShortForFolds):
         plan_folds(50, 10, 10)
+
+
+@pytest.mark.parametrize("n_folds", [0, 1])
+def test_plan_folds_needs_two_folds(n_folds):
+    with pytest.raises(TooFewFolds):
+        plan_folds(100, n_folds, 2)
 
 
 def test_plan_folds_invariants():
@@ -184,9 +191,9 @@ def test_nested_select_too_short():
 
 def test_correlation_noiseless_limit():
     c = generate_toy(ToyConfig(T=1200, gamma=0.999999, seed=2))
-    out = fit_feed_fold(c.feed("X").matrix, pool_excluding(c, "X").matrix,
-                        plan_folds(c.T - 4, 5, 4).folds[2], 2, SMALL_GRID, 4,
-                        n_inner=5)
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                     SMALL_GRID, 4)
+    out = _fit_feed_fold(data, plan_folds(c.T - 4, 5, 4).folds[2], 2, 5)
     assert out.correlation > 0.99
 
 
@@ -203,16 +210,16 @@ def test_correlation_via_kernel_blocks_matches_fold():
     pool = pool_excluding(c, "X").matrix
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[1]
-    out = fit_feed_fold(c.feed("X").matrix, pool, fold, 1, grid, 3, n_inner=5)
-
     data = _FeedData(c.feed("X").matrix, pool, grid, 3)
+    out = _fit_feed_fold(data, fold, 1, 5)
     emb, pool_trim = data.emb[3], data.pool_trim
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
     m = solve_kcca(kx, ky, 1e-2, n_lags=3)
-    c_kernel = test_correlation(m, center_cross(emb[:, tr].T @ emb[:, te], mx),
-                                center_cross(pool_trim[:, tr].T @ pool_trim[:, te], my))
+    c_kernel = pearson_correlation(*project(
+        m, center_cross(emb[:, tr].T @ emb[:, te], mx),
+        center_cross(pool_trim[:, tr].T @ pool_trim[:, te], my)))
     assert abs(c_kernel - out.correlation) < 1e-9
     assert abs(m.lam - out.model.lam) < 1e-9
 
@@ -233,16 +240,16 @@ def test_fold_fit_dual_route_matches_kernel_solve():
     plan = plan_folds(c.T - 2, 4, 2)
     fold = plan.folds[1]
     assert 40 * 2 > len(fold.train_indices)  # forces the dual route
-    out = fit_feed_fold(c.feed("f0").matrix, pool, fold, 1, grid, 2, n_inner=4)
-
     data = _FeedData(c.feed("f0").matrix, pool, grid, 2)
+    out = _fit_feed_fold(data, fold, 1, 4)
     emb, pool_trim = np.asarray(data.emb[2]), np.asarray(data.pool_trim)
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
     m = solve_kcca(kx, ky, 1e-2, n_lags=2)
-    c_kernel = test_correlation(m, center_cross(emb[:, tr].T @ emb[:, te], mx),
-                                center_cross(pool_trim[:, tr].T @ pool_trim[:, te], my))
+    c_kernel = pearson_correlation(*project(
+        m, center_cross(emb[:, tr].T @ emb[:, te], mx),
+        center_cross(pool_trim[:, tr].T @ pool_trim[:, te], my)))
     assert abs(m.lam - out.model.lam) < 1e-9
     assert abs(c_kernel - out.correlation) < 1e-9
 
@@ -265,8 +272,8 @@ def test_degenerate_projection_scored_zero():
     mats = [np.zeros((2, 60)), np.random.default_rng(5).random((2, 60))]
     c = corpus_from(mats)
     grid = HyperGrid(lags=(1,), kappas=(1e-2,))
-    out = fit_feed_fold(c.feed("f0").matrix, pool_excluding(c, "f0").matrix,
-                        plan_folds(59, 4, 1).folds[0], 0, grid, 1, n_inner=4)
+    data = _FeedData(c.feed("f0").matrix, pool_excluding(c, "f0").matrix, grid, 1)
+    out = _fit_feed_fold(data, plan_folds(59, 4, 1).folds[0], 0, 4)
     assert out.degenerate
     assert out.correlation == 0.0
 
@@ -346,6 +353,16 @@ def test_lsa_direction_gram_route():
 def test_lsa_direction_degenerate():
     with pytest.raises(DegenerateProjection):
         lsa_direction(np.zeros((3, 5)))
+
+
+def test_lsa_direction_one_term_or_one_sample():
+    m = np.random.default_rng(12).standard_normal((1, 9))
+    assert np.array_equal(lsa_direction(m), [1.0])
+    assert np.array_equal(lsa_direction(sp.csc_matrix(m)), [1.0])
+    with pytest.raises(DegenerateProjection):
+        lsa_direction(np.zeros((1, 9)))
+    assert np.allclose(lsa_direction(np.array([[3.0], [-4.0]])), [-0.6, 0.8],
+                       rtol=0, atol=1e-15)
 
 
 def test_lsa_identical_feeds_score_near_one():
@@ -475,6 +492,13 @@ def test_ranking_invariant_under_common_rescaling():
     assert [e[0] for e in r1.entries] == [e[0] for e in r2.entries]
 
 
+@pytest.mark.parametrize("n_folds, n_inner", [(0, 4), (1, 4), (4, 0), (4, 1)])
+def test_analyze_needs_two_folds_each_level(n_folds, n_inner):
+    c = generate_toy(ToyConfig(T=300, seed=0))
+    with pytest.raises(TooFewFolds):
+        analyze(c, SMALL_GRID, n_folds=n_folds, n_inner=n_inner)
+
+
 def test_analyze_requires_two_feeds():
     c = corpus_from([np.random.default_rng(0).random((2, 100))])
     with pytest.raises(NotEnoughFeeds):
@@ -517,14 +541,13 @@ def test_emit_trend_unit_energy_and_consistency():
     pool = pool_excluding(c, "X").matrix
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[2]
-    out = fit_feed_fold(c.feed("X").matrix, pool, fold, 2, grid, 3, n_inner=5)
+    out = _fit_feed_fold(_FeedData(c.feed("X").matrix, pool, grid, 3), fold, 2, 5)
     w = PrimalWeights(out.w_x, out.w_y)
     x = c.feed("X").matrix
     times = fold.test_indices + 3
     y, yhat = emit_trend(w, x, pool, times)
     assert abs((y ** 2).sum() - 1.0) < 1e-10
     assert abs((yhat ** 2).sum() - 1.0) < 1e-10
-    from ctrend.kcca import pearson_correlation
     assert abs(pearson_correlation(y, yhat) - out.correlation) < 1e-10
 
 
@@ -547,16 +570,17 @@ def test_training_blind_to_test_block():
     pool = pool_excluding(c, "X").matrix
     plan = plan_folds(c.T - trim, 5, trim)
     for fold in plan.folds[:2]:
-        base = fit_feed_fold(c.feed("X").matrix, pool, fold, fold.test_indices[0],
-                             grid, trim, n_inner=5)
+        base = _fit_feed_fold(_FeedData(c.feed("X").matrix, pool, grid, trim),
+                              fold, fold.test_indices[0], 5)
         rng = np.random.default_rng(99)
         corrupted = [f.matrix.toarray() for f in c.feeds]
         test_times = fold.test_indices + trim
         for m in corrupted:
             m[:, test_times] = rng.standard_normal((m.shape[0], len(test_times)))
         c2 = corpus_from(corrupted, ids=[f.feed_id for f in c.feeds])
-        redo = fit_feed_fold(c2.feed("X").matrix, pool_excluding(c2, "X").matrix,
-                             fold, fold.test_indices[0], grid, trim, n_inner=5)
+        data2 = _FeedData(c2.feed("X").matrix, pool_excluding(c2, "X").matrix,
+                          grid, trim)
+        redo = _fit_feed_fold(data2, fold, fold.test_indices[0], 5)
         assert np.array_equal(base.model.alpha, redo.model.alpha)
         assert np.array_equal(base.model.beta, redo.model.beta)
         assert base.model.lam == redo.model.lam

@@ -4,7 +4,6 @@ import scipy.sparse as sp
 
 from ctrend import (
     KccaModel,
-    KernelPair,
     ToyConfig,
     center_cross,
     center_kernel,
@@ -20,7 +19,6 @@ from ctrend import (
 )
 from ctrend.exceptions import (
     DegenerateProjection,
-    NonLinearKernel,
     ShapeMismatch,
     SingularRhs,
     TooFewSamples,
@@ -111,16 +109,6 @@ def test_center_cross_shape_check():
     _, means = center_kernel(linear_kernel(np.random.default_rng(0).random((2, 6))))
     with pytest.raises(ShapeMismatch):
         center_cross(np.zeros((5, 3)), means)
-
-
-def test_kernel_pair_validate():
-    rng = np.random.default_rng(5)
-    pair = KernelPair.from_data(rng.standard_normal((3, 12)),
-                                rng.standard_normal((2, 12)))
-    pair.validate()
-    pair.kx[0, 1] += 1.0
-    with pytest.raises(ValueError):
-        pair.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +292,6 @@ def test_toy_weight_structure():
     assert top2 == {3, 5}  # Cloud and Ash carry the pooled trend
     volcano = np.abs(w.w_x[1])
     assert int(np.argmax(volcano)) + 1 == 3  # strongest at the planted lag
-
-
-def test_recover_primal_rejects_nonlinear():
-    m = KccaModel(alpha=np.ones(4), beta=np.ones(4), lam=0.0, eigenvalue=0.0,
-                  kappa=1e-3, n_lags=1, kernel="rbf")
-    with pytest.raises(NonLinearKernel):
-        recover_primal(m, np.ones((2, 4)), np.ones((2, 4)))
 
 
 def test_oracle_invariant_under_linear_transforms():
