@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-lsa", action="store_true")
     p.add_argument("--shuffle-control", action="store_true")
     p.add_argument("--top-words", type=_at_least(0), default=10)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("-v", "--verbose", action="count", default=0)
 
     for name in ("correlogram", "topwords"):

@@ -7,9 +7,10 @@ training block a nested blocked CV picks the number of lags and the
 regularizer from a grid. Per fold the canonical pair is fit, the held-out
 correlation is recorded, and feeds are ranked by their mean fold score.
 
-Per-side factorizations switch between a primal (covariance) and a dual
-(Gram) route depending on which matrix is smaller; both produce the same
-kernel spectrum, so results do not depend on the route.
+Each feed is embedded once, with the largest lag; smaller lags are row
+blocks of it. Per-side factorizations switch between a primal (covariance)
+and a dual (Gram) route depending on which matrix is smaller; both give
+the same kernel spectrum, so results do not depend on the route.
 
 Inner folds on the primal route (dense embedding no wider than the fold's
 training set) are scored together: all of an outer fold's inner folds in
@@ -42,8 +43,10 @@ from .corpus import Corpus
 from .embedding import embed_columns, pool_excluding
 from .exceptions import (
     DegenerateProjection,
+    DuplicateFeed,
     NotEnoughFeeds,
     NumericalFailure,
+    SeriesTooShort,
     TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
@@ -143,12 +146,6 @@ def plan_folds(axis, n_folds: int, n_lags: int) -> FoldPlan:
         train_mask &= ~discard_mask
         folds.append(Fold(test, axis[train_mask], axis[discard_mask]))
     return FoldPlan(n_folds, n_lags, axis, folds)
-
-
-def _embed_on_axis(x, n_lags: int, trim: int):
-    """Embed with ``n_lags`` but align columns to the axis trimmed by ``trim``."""
-    emb = embed_columns(x, n_lags)
-    return emb if trim == n_lags else emb[:, trim - n_lags:]
 
 
 def _as_dense_if_small(m):
@@ -251,19 +248,26 @@ class FoldOutcome:
 class _FeedData:
     """Per-feed precomputed views shared by every fold and grid point.
 
-    Embedded matrices are built once per lag on the common trimmed axis
-    and densified when small; full-axis Gram matrices for the dual route
-    are cached lazily.
+    One lag-max embedding on the axis trimmed by ``trim`` (at least the
+    largest lag); each lag's embedding is its row block ``lag_rows[lag]``,
+    densified when small. Full-axis Gram matrices are cached lazily.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int):
+        if trim < grid.max_lag:
+            raise SeriesTooShort(f"trim {trim} is below the largest lag "
+                                 f"{grid.max_lag}; use trim >= {grid.max_lag}")
         self.x_raw = _as_dense_if_small(x_raw)
         self.pool_raw = _as_dense_if_small(pool_raw)
         self.trim = trim
         self.grid = grid
         self.pool_trim = self.pool_raw[:, trim:]
-        self.emb = {lag: _as_dense_if_small(_embed_on_axis(self.x_raw, lag, trim))
-                    for lag in grid.lags}
+        w, top = self.x_raw.shape[0], grid.max_lag
+        emb_max = _as_dense_if_small(embed_columns(self.x_raw[:, trim - top:], top))
+        # lag L is the last W * L rows of the lag-max one (lag -1 is at the bottom)
+        self.lag_rows = {lag: slice(w * (top - lag), w * top) for lag in grid.lags}
+        self.emb = {lag: _as_dense_if_small(emb_max[rows])
+                    for lag, rows in self.lag_rows.items()}
         self.gram_x = {lag: functools.cache(functools.partial(linear_kernel, emb))
                        for lag, emb in self.emb.items()}
         self.gram_y = functools.cache(functools.partial(linear_kernel, self.pool_trim))
@@ -350,15 +354,14 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     """Score every (lag, kappa) grid point on a batch of inner folds.
 
     All folds are scored together: moments come from :func:`_fold_moments`,
-    the lag-L embedding is the last L blocks of the lag-max one (so its
-    covariance is a trailing sub-block), each lag runs one ``eigh`` over
+    the lag-L covariance is the sub-block on ``data.lag_rows[L]`` (a
+    trailing block of the lag-max one), each lag runs one ``eigh`` over
     the folds' covariance blocks, and the top pair comes from the small
     side via :func:`_top_pairs`. Folds are grouped by kept ranks. A fold
     whose pool side has no variance, or a lag whose feed side has none,
     scores zero. Returns one (lags, kappas) table per fold in ``fold_ids``.
     """
     grid = data.grid
-    w_dim = data.x_raw.shape[0]
     d_max = data.emb[grid.max_lag].shape[0]
     n_k = len(kappas)
     means, scatter = _fold_moments(data, plan, fold_ids)
@@ -369,7 +372,7 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     w_y = np.zeros((len(fold_ids), len(grid.lags), n_k, theta_y.shape[1]))
     live = np.flatnonzero(rank_y > 0)
     for li, lag in enumerate(grid.lags if len(live) else ()):
-        rows = slice(d_max - w_dim * lag, d_max)
+        rows = data.lag_rows[lag]
         theta_x, p_x, rank_x = _batched_eigenbases(scatter[live, rows, rows])
         sig_x = np.sqrt(np.maximum(theta_x, 0.0))
         ranks = np.stack([rank_x, rank_y[live]], axis=1)
@@ -872,6 +875,10 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
         unknown = set(feed_ids) - set(corpus.feed_ids)
         if unknown:
             raise UnknownFeed(f"no feed named {sorted(unknown)!r}")
+        repeated = sorted({f for f in feed_ids if feed_ids.count(f) > 1})
+        if repeated:
+            raise DuplicateFeed(f"feed filter names {repeated!r} more than "
+                                f"once; list each feed once")
 
     context = {
         "corpus": corpus,

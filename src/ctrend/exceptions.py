@@ -25,6 +25,10 @@ class UnknownFeed(CTError):
     """A feed id was referenced that the corpus does not contain."""
 
 
+class DuplicateFeed(CTError):
+    """A feed id was given more than once."""
+
+
 class NotEnoughFeeds(CTError):
     """Pooling needs at least two feeds."""
 

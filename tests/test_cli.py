@@ -283,13 +283,23 @@ def test_analyze_missing_corpus(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--folds", 0), ("--folds", 1), ("--inner-folds", 0), ("--inner-folds", 1),
-    ("--top-words", -1)])
+    ("--top-words", -1), ("--jobs", 0), ("--jobs", -2)])
 def test_analyze_rejects_bad_counts(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", "--corpus", tmp_path / "c", "--out", tmp_path / "out",
              flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+def test_analyze_rejects_repeated_feed(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(["synth", "--mode", "toy", "--seed", 3, "--T", 400, "--out", corpus_dir])
+    assert run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
+                "--folds", 4, "--inner-folds", 4, "--lags", "1..3",
+                "--feeds", "X,X"]) == 1
+    assert "error: feed filter names ['X'] more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_topwords_rejects_negative_top(tmp_path, capsys):

@@ -41,12 +41,15 @@ from ctrend.evaluation import (
 )
 from ctrend.exceptions import (
     DegenerateProjection,
+    DuplicateFeed,
     NotEnoughFeeds,
+    SeriesTooShort,
     TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
 )
 from ctrend.kcca import _psd_eigenbasis, center_cross, center_kernel, linear_kernel
+from ctrend.reporting import build_models, build_report, dumps
 from ctrend.synth import LeaderConfig, generate_leader
 from oracles import brute_lagged_pearson, power_iteration_top
 
@@ -176,6 +179,14 @@ def test_nested_select_covers_true_lag():
                               plan.folds[0].train_indices, SMALL_GRID,
                               SMALL_GRID.max_lag, n_inner=5)
     assert lag >= 3
+
+
+def test_nested_select_rejects_trim_below_largest_lag():
+    c = generate_toy(ToyConfig(T=300, seed=0))
+    pool = pool_excluding(c, "X").matrix
+    with pytest.raises(SeriesTooShort, match="trim 2 .* largest lag 4"):
+        nested_select(c.feed("X").matrix, pool, np.arange(300), SMALL_GRID,
+                      trim=2)
 
 
 def test_nested_select_too_short():
@@ -505,23 +516,18 @@ def test_analyze_requires_two_feeds():
         analyze(c, SMALL_GRID, n_folds=4, n_inner=4)
 
 
-def test_analyze_parallel_matches_serial():
-    c = generate_toy(ToyConfig(T=500, seed=21))
+@pytest.mark.parametrize("make", [
+    lambda: generate_toy(ToyConfig(T=500, seed=21)),
+    lambda: generate_leader(LeaderConfig(F=4, W=8, T=400, seed=21)),
+], ids=["toy", "leader"])
+def test_analyze_parallel_matches_serial(make):
+    c = make()
     kw = dict(grid=SMALL_GRID, n_folds=5, n_inner=5, seed=21,
               with_lsa=True, with_shuffle=True)
     serial = analyze(c, **kw)
     parallel = analyze(c, jobs=2, **kw)
-    assert serial.ranking.entries == parallel.ranking.entries
-    for a, b in zip(serial.reports, parallel.reports):
-        assert a.fold_correlations == b.fold_correlations
-        assert a.lsa_fold_scores == b.lsa_fold_scores
-        assert a.shuffle_fold_scores == b.shuffle_fold_scores
-        assert a.correlogram == b.correlogram
-    for feed_id in serial.fold_outcomes:
-        for oa, ob in zip(serial.fold_outcomes[feed_id],
-                          parallel.fold_outcomes[feed_id]):
-            assert np.array_equal(oa.model.alpha, ob.model.alpha)
-            assert oa.model.lam == ob.model.lam
+    for build in (build_report, build_models):
+        assert dumps(build(serial, "h")) == dumps(build(parallel, "h"))
 
 
 def test_analyze_feed_filter():
@@ -530,6 +536,8 @@ def test_analyze_feed_filter():
     assert [r.feed_id for r in res.reports] == ["X"]
     with pytest.raises(UnknownFeed):
         analyze(c, SMALL_GRID, feed_ids=["Z"])
+    with pytest.raises(DuplicateFeed, match="'X'"):
+        analyze(c, SMALL_GRID, n_folds=5, n_inner=5, feed_ids=["X", "Y", "X"])
 
 
 # ---------------------------------------------------------------------------
