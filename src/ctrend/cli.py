@@ -30,7 +30,7 @@ from .corpus import (
     tfidf_normalize,
 )
 from .evaluation import HyperGrid, analyze
-from .exceptions import BadConfig, CTError
+from .exceptions import BadConfig, BadWindow, CTError
 from .reporting import (
     check_corpus_binding,
     load_models,
@@ -76,6 +76,18 @@ def _at_least(lo: int):
     return integer
 
 
+def _hours(spec: str) -> timedelta:
+    """argparse type: a positive number of hours, as a time span."""
+    try:
+        width = timedelta(hours=float(spec))
+    except OverflowError:  # beyond the range of a timedelta
+        width = timedelta(0)
+    if width <= timedelta(0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of hours, got {spec}")
+    return width
+
+
 def _resolve_seed(value) -> int:
     if value is not None:
         return int(value)
@@ -111,14 +123,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stopwords", default=None, help="file, one word per line")
     p.add_argument("--stem", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--tfidf", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--bin-hours", type=float, default=1.0)
+    p.add_argument("--bin-hours", type=_hours, default=timedelta(hours=1))
     p.add_argument("--t0", default=None,
                    help="RFC-3339 window start (default: first document, "
                         "floored to the hour)")
     p.add_argument("--T", type=int, default=None,
                    help="number of bins (default: cover all documents)")
     p.add_argument("--timezone", default="UTC", help="reference timezone")
-    p.add_argument("--min-df", type=int, default=1)
+    p.add_argument("--min-df", type=_at_least(1), default=1)
 
     p = sub.add_parser("analyze", help="run the trend-setter pipeline")
     p.add_argument("--corpus", required=True)
@@ -197,7 +209,7 @@ def _cmd_featurize(args, parser) -> int:
         if not docs:
             parser.error("--t0 is required when the document file is empty")
         t0 = _floor_to_hour(min(d.timestamp for d in docs).astimezone(tz))
-    bin_width = timedelta(hours=args.bin_hours)
+    bin_width = args.bin_hours
     if args.T is not None:
         T = args.T
     else:
@@ -206,6 +218,14 @@ def _cmd_featurize(args, parser) -> int:
 
     corpus = featurize(docs, vocab, t0, bin_width, T,
                        stopwords=stopwords, stem=args.stem)
+    if docs and corpus.n_dropped == len(docs):
+        first = min(d.timestamp for d in docs)
+        last = max(d.timestamp for d in docs)
+        raise BadWindow(
+            f"no document falls in the window [{t0.isoformat()}, "
+            f"{(t0 + T * bin_width).isoformat()}); the documents run from "
+            f"{first.isoformat()} to {last.isoformat()}. "
+            f"Check --t0, --T and --bin-hours")
     if args.tfidf:
         corpus = tfidf_normalize(corpus)
     store_corpus(corpus, args.out)

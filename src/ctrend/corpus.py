@@ -4,6 +4,13 @@ Raw timestamped documents are tokenized, binned onto a regular time axis
 and counted into one sparse term-by-time matrix per feed. The resulting
 corpus can be tf-idf normalized and stored/loaded losslessly as a
 directory of ``meta.json`` + ``matrix.csv``.
+
+The disk format is handled an array at a time: ``store_corpus`` formats
+each feed's sorted nonzeros with one ``%``-format call, and
+``load_corpus`` parses the whole matrix with one ``np.loadtxt`` call.
+When that parse fails, or an index is out of range, the file is read
+again line by line, which accepts the same input as before and names the
+first bad line.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -23,6 +31,7 @@ import scipy.sparse as sp
 from . import __version__
 from .exceptions import (
     AlreadyNormalized,
+    BadWindow,
     EmptyCorpus,
     FormatError,
     NoBins,
@@ -31,6 +40,9 @@ from .exceptions import (
 from .stemmer import stem as porter_stem
 
 FORMAT_VERSION = 1
+_MATRIX_HEADER = "feed_index,term_index,time_index,value"
+_MATRIX_ROW = np.dtype([("feed", np.int64), ("term", np.int64),
+                        ("time", np.int64), ("value", np.float64)])
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _NUMERIC_RE = re.compile(r"\d+")
@@ -198,6 +210,9 @@ def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
     if t0.tzinfo is None:
         raise ValueError("t0 must be timezone-aware")
     bin_seconds = bin_width.total_seconds()
+    if bin_seconds <= 0:
+        raise BadWindow(
+            f"bin width must be positive, got {bin_seconds / 3600:g} hours")
 
     docs = list(docs)
     if feeds is None:
@@ -269,11 +284,6 @@ def tfidf_normalize(c: Corpus) -> Corpus:
 # ---------------------------------------------------------------------------
 # disk format
 
-def _fmt17(x: float) -> str:
-    """Format a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
-
-
 def _parse_rfc3339(s: str) -> datetime:
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
@@ -305,14 +315,70 @@ def store_corpus(c: Corpus, directory: str | Path) -> Path:
     (directory / "meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    lines = ["feed_index,term_index,time_index,value"]
+    chunks = [_MATRIX_HEADER + "\n"]
     for fi, f in enumerate(c.feeds):
         coo = f.matrix.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        for w, t, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            lines.append(f"{fi},{w},{t},{_fmt17(v)}")
-    (directory / "matrix.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        n = len(order)
+        cells = [fi] * (4 * n)  # feed index, then term, time and value
+        cells[1::4] = coo.row[order].tolist()
+        cells[2::4] = coo.col[order].tolist()
+        cells[3::4] = coo.data[order].tolist()
+        chunks.append(("%d,%d,%d,%.17g\n" * n) % tuple(cells))
+    (directory / "matrix.csv").write_text("".join(chunks), encoding="utf-8")
     return directory
+
+
+def _read_matrix(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
+    """The rows of ``matrix.csv`` as a ``_MATRIX_ROW`` array, each index
+    checked against ``shape`` = (feeds, terms, bins).
+
+    One ``np.loadtxt`` call parses a well-formed file. numpy rejects
+    whatever Python's ``int``/``float`` reject (and some they accept, such
+    as ``1_0``), so when it fails, or an index is out of range, the file is
+    read again line by line: that loop accepts exactly what it always
+    accepted and names the first bad line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if header != _MATRIX_HEADER:
+            raise FormatError(f"bad matrix.csv header: {header!r}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is a valid all-zero corpus
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=_MATRIX_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+        except ValueError:
+            rows = None
+    if rows is not None and all(
+            ((rows[name] >= 0) & (rows[name] < n)).all()
+            for name, n in zip(("feed", "term", "time"), shape)):
+        return rows
+    return _read_matrix_lines(path, shape)
+
+
+def _read_matrix_lines(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
+    """Per-line parse of ``matrix.csv`` that names the first bad line."""
+    n_feeds, W, T = shape
+    parsed = []
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # header, checked by the caller
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                fi_s, w_s, t_s, v_s = line.split(",")
+                fi, w, t, v = int(fi_s), int(w_s), int(t_s), float(v_s)
+            except ValueError:
+                raise FormatError(
+                    f"bad matrix.csv row at line {lineno}: {line!r}"
+                ) from None
+            if not (0 <= fi < n_feeds and 0 <= w < W and 0 <= t < T):
+                raise FormatError(f"index out of range at line {lineno}: {line!r}")
+            parsed.append((fi, w, t, v))
+    return np.array(parsed, dtype=_MATRIX_ROW)
 
 
 def load_corpus(directory: str | Path) -> Corpus:
@@ -337,35 +403,17 @@ def load_corpus(directory: str | Path) -> Corpus:
     feed_ids = meta["feeds"]
     T = int(meta["T"])
     W = len(vocab)
-    rows = [[] for _ in feed_ids]
-    cols = [[] for _ in feed_ids]
-    vals = [[] for _ in feed_ids]
-    csv_path = directory / "matrix.csv"
-    with open(csv_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "feed_index,term_index,time_index,value":
-            raise FormatError(f"bad matrix.csv header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                fi_s, w_s, t_s, v_s = line.split(",")
-                fi, w, t, v = int(fi_s), int(w_s), int(t_s), float(v_s)
-            except ValueError:
-                raise FormatError(
-                    f"bad matrix.csv row at line {lineno}: {line!r}"
-                ) from None
-            if not (0 <= fi < len(feed_ids) and 0 <= w < W and 0 <= t < T):
-                raise FormatError(f"index out of range at line {lineno}: {line!r}")
-            rows[fi].append(w)
-            cols[fi].append(t)
-            vals[fi].append(v)
-    feeds = [
-        FeedSeries(fid, sp.coo_matrix((vals[i], (rows[i], cols[i])),
-                                      shape=(W, T)).tocsc())
-        for i, fid in enumerate(feed_ids)
-    ]
+    rows = _read_matrix(directory / "matrix.csv", (len(feed_ids), W, T))
+    # a stable sort keeps each feed's rows in file order, so duplicate
+    # cells are summed in the same order as they were written
+    rows = rows[np.argsort(rows["feed"], kind="stable")]
+    bounds = np.searchsorted(rows["feed"], np.arange(len(feed_ids) + 1))
+    feeds = []
+    for i, fid in enumerate(feed_ids):
+        own = rows[bounds[i]:bounds[i + 1]]
+        m = sp.coo_matrix((np.ascontiguousarray(own["value"]),
+                           (own["term"], own["time"])), shape=(W, T))
+        feeds.append(FeedSeries(fid, m.tocsc()))
     corpus = Corpus(vocab, _parse_rfc3339(meta["t0"]), float(meta["bin_hours"]),
                     T, feeds, normalization=meta["normalization"],
                     synthetic=bool(meta.get("synthetic", False)))

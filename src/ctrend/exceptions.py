@@ -13,6 +13,11 @@ class NoBins(CTError):
     """A time axis with zero bins was requested."""
 
 
+class BadWindow(CTError):
+    """A time window with a non-positive bin width, or one that no document
+    falls in."""
+
+
 class AlreadyNormalized(CTError):
     """tf-idf normalization applied to an already normalized corpus."""
 

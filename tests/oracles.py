@@ -3,8 +3,12 @@
 Everything here deliberately avoids the library's code paths: kernels by
 double loops, pooling by dense Python loops, CCA in input space via
 whitened covariances, the generalized eigenproblem via scipy's direct
-two-matrix solver, and LSA directions by power iteration.
+two-matrix solver, LSA directions by power iteration, and JSON text one
+value at a time.
 """
+
+import json
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -99,3 +103,28 @@ def brute_lagged_pearson(x_series: np.ndarray, y_series: np.ndarray,
     u = u - u.mean()
     v = v - v.mean()
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+def json_text(obj) -> str:
+    """JSON with sorted keys and 17-significant-digit floats, one value per
+    recursive call; NaN and infinities become null. Arrays are written as
+    their nested lists."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return "null" if math.isnan(x) or math.isinf(x) else format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, np.ndarray):
+        return json_text(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(json_text(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(str(k)) + ":" + json_text(v)
+                              for k, v in sorted(obj.items())) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -1,10 +1,15 @@
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctrend import ToyConfig, generate_toy, load_corpus
+from ctrend import ToyConfig, corpus_content_hash, generate_toy, load_corpus
 from ctrend.cli import main, parse_kappas, parse_lags
 
 
@@ -134,6 +139,60 @@ def test_featurize_bad_timezone_and_t0_are_usage_errors(tmp_path):
         run(["featurize", "--docs", docs, "--out", tmp_path / "c",
              "--t0", "yesterday"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--bin-hours", 0), ("--bin-hours", -1), ("--bin-hours", "nan"),
+    ("--bin-hours", "1e-12"), ("--bin-hours", "1e300"), ("--min-df", 0)])
+def test_featurize_rejects_bad_window_flags(tmp_path, capsys, flag, value):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(DOCS)
+    with pytest.raises(SystemExit) as exc:
+        run(["featurize", "--docs", docs, "--out", tmp_path / "c", "--T", 50,
+             flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_featurize_names_an_empty_window(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(DOCS)
+    assert run(["featurize", "--docs", docs, "--out", tmp_path / "c",
+                "--t0", "2011-11-01T00:00:00Z", "--T", 24]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: no document falls in the window [2011-11-01T00:00:00+00:00, "
+        "2011-11-02T00:00:00+00:00); the documents run from "
+        "2011-10-01T00:10:00+00:00 to 2011-10-01T01:20:00+00:00.")
+    assert not (tmp_path / "c").exists()
+
+
+def test_featurize_text_golden_bytes(tmp_path):
+    # The perfbench text generator's seed-0 stream, featurized as counts
+    # (tf-idf goes through np.log, whose last bit may vary across CPUs).
+    # The digest was recorded before stemming was memoized and the corpus
+    # writer vectorized; meta.json holds the tool version, so a version
+    # bump changes it. Two hash seeds guard against set or dict order
+    # leaking into the vocabulary or the rows.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "textgen", root / "perfbench" / "textgen.py")
+    textgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(textgen)
+    docs = textgen.write_jsonl(0, tmp_path / "docs.jsonl")
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"corpus{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(root / "src")] + sys.path))
+        subprocess.run(
+            [sys.executable, "-m", "ctrend", "featurize", "--docs", str(docs),
+             "--out", str(out), "--no-tfidf", "--T", str(textgen.T),
+             "--t0", textgen.T0.isoformat()],
+            env=env, check=True, capture_output=True)
+        assert corpus_content_hash(out) == (
+            "195eab4acec173026f1d4ec12a4cf50250fdbc9adf7d0fac6761b655ae7b12b2")
 
 
 def test_featurize_derives_window(tmp_path):

@@ -23,6 +23,7 @@ from ctrend import (
 )
 from ctrend.exceptions import (
     AlreadyNormalized,
+    BadWindow,
     EmptyCorpus,
     FormatError,
     NoBins,
@@ -129,6 +130,14 @@ def test_featurize_unknown_feed_slot():
 def test_featurize_no_bins():
     with pytest.raises(NoBins):
         featurize([], Vocabulary(["x"]), T0, HOUR, T=0)
+
+
+@pytest.mark.parametrize("width, named", [
+    (timedelta(0), "got 0 hours"), (-HOUR, "got -1 hours"),
+    (timedelta(minutes=-30), "got -0.5 hours")])
+def test_featurize_rejects_non_positive_bin_width(width, named):
+    with pytest.raises(BadWindow, match=f"bin width must be positive, {named}"):
+        featurize([doc("f", 0, "ash")], Vocabulary(["ash"]), T0, width, T=2)
 
 
 def test_featurize_permutation_invariant():
@@ -265,6 +274,72 @@ def test_load_rejects_bad_matrix_row(tmp_path):
         fh.write("0,0,notanumber,1\n")
     with pytest.raises(FormatError, match="line"):
         load_corpus(d)
+
+
+def _replace_matrix_line(d, lineno, text):
+    """Overwrite line ``lineno`` (1-based, header is line 1) of matrix.csv."""
+    lines = (d / "matrix.csv").read_text().split("\n")
+    lines[lineno - 1] = text
+    (d / "matrix.csv").write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("row, error", [
+    ("0,2,notanumber,1", "bad matrix.csv row"),  # unparsable field
+    ("0,2,3", "bad matrix.csv row"),              # 3 fields
+    ("0,2,3,1.5,7", "bad matrix.csv row"),        # 5 fields
+    ("0,1.0,3,1.5", "bad matrix.csv row"),        # float in an index column
+    ("0,1e1,3,1.5", "bad matrix.csv row"),
+    ("2,2,3,1.5", "index out of range"),          # feed index == F
+    ("-1,2,3,1.5", "index out of range"),
+    ("0,6,3,1.5", "index out of range"),          # term index == W
+    ("0,2,12,1.5", "index out of range"),         # time index == T
+    ("1,1_0,3,1.5", "index out of range"),        # int() reads 1_0 as 10
+])
+def test_load_names_the_bad_line(tmp_path, row, error):
+    d = store_corpus(_random_corpus(), tmp_path / "c")
+    n_lines = len((d / "matrix.csv").read_text().splitlines())
+    assert n_lines > 12
+    _replace_matrix_line(d, 7, row)
+    with pytest.raises(FormatError) as exc:
+        load_corpus(d)
+    assert str(exc.value) == f"{error} at line 7: {row!r}"
+
+
+def test_load_reads_underscored_index_as_python_int(tmp_path):
+    d = store_corpus(_random_corpus(), tmp_path / "c")
+    _replace_matrix_line(d, 7, "1,1,1_1,2.5")
+    underscored = load_corpus(d)
+    _replace_matrix_line(d, 7, "1,1,11,2.5")
+    assert underscored == load_corpus(d)
+
+
+def test_load_sums_repeated_cells_in_file_order(tmp_path):
+    # 1e16 - 1e16 + 1 is 1 only when summed in this order; feed 1's rows
+    # come first and interleave with feed 0's
+    d = store_corpus(_counts_corpus([np.zeros((2, 3)), np.zeros((2, 3))]),
+                     tmp_path / "c")
+    with open(d / "matrix.csv", "a") as fh:
+        fh.write("1,1,2,1e16\n0,0,0,2\n1,1,2,-1e16\n0,0,0,3\n1,1,2,1\n")
+    c = load_corpus(d)
+    assert c.feed("f1").matrix[1, 2] == 1.0
+    assert c.feed("f0").matrix[0, 0] == 5.0
+    assert c.feed("f0").matrix.nnz == 1
+
+
+def test_load_skips_blank_lines(tmp_path):
+    c = _random_corpus()
+    d = store_corpus(c, tmp_path / "c")
+    text = (d / "matrix.csv").read_text().replace("\n", "\n\n", 5)
+    (d / "matrix.csv").write_text(text + "   \n\n")
+    assert load_corpus(d) == c
+
+
+def test_load_header_only_is_all_zero_without_warning(tmp_path, recwarn):
+    c = _counts_corpus([np.zeros((2, 4)), np.zeros((2, 4))])
+    d = store_corpus(c, tmp_path / "z")
+    assert (d / "matrix.csv").read_text() == "feed_index,term_index,time_index,value\n"
+    assert load_corpus(d) == c
+    assert len(recwarn) == 0
 
 
 def test_content_hash_tracks_data(tmp_path):
