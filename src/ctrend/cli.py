@@ -57,7 +57,11 @@ def parse_kappas(spec: str) -> tuple[float, ...]:
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
-        lo, hi = math.log10(float(lo_s)), math.log10(float(hi_s))
+        ends = float(lo_s), float(hi_s)
+        if not all(0.0 < e < math.inf for e in ends):
+            raise ValueError(f"kappa range ends must be positive and finite, "
+                             f"got {spec}")
+        lo, hi = math.log10(ends[0]), math.log10(ends[1])
         lo_i, hi_i = round(lo), round(hi)
         if abs(lo - lo_i) > 1e-9 or abs(hi - hi_i) > 1e-9:
             raise ValueError("kappa ranges must span whole decades, "

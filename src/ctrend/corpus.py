@@ -20,6 +20,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -68,8 +69,7 @@ class Vocabulary:
 
     def __init__(self, terms: Sequence[str]):
         terms = list(terms)
-        if len(set(terms)) != len(terms):
-            raise ValueError("vocabulary terms must be unique")
+        _check_unique("vocabulary terms", terms)
         self.terms = terms
         self.index = {t: i for i, t in enumerate(terms)}
 
@@ -132,9 +132,7 @@ class Corpus:
 
     def validate(self):
         """Check shape consistency, finiteness and (non-synthetic) sign."""
-        ids = self.feed_ids
-        if len(set(ids)) != len(ids):
-            raise ValueError("feed ids must be unique")
+        _check_unique("feed ids", self.feed_ids)
         if self.normalization not in ("counts", "tfidf"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
         for f in self.feeds:
@@ -147,6 +145,12 @@ class Corpus:
                 raise ValueError(f"feed {f.feed_id!r} contains non-finite values")
             if not self.synthetic and f.matrix.nnz and f.matrix.data.min() < 0:
                 raise ValueError(f"feed {f.feed_id!r} contains negative values")
+
+
+def _check_unique(what: str, items: list) -> None:
+    repeated = sorted(i for i, n in Counter(items).items() if n > 1)
+    if repeated:
+        raise ValueError(f"{what} must be unique; repeated: {repeated!r}")
 
 
 def _sparse_equal(a: sp.spmatrix, b: sp.spmatrix) -> bool:
@@ -399,25 +403,33 @@ def load_corpus(directory: str | Path) -> Corpus:
         if key not in meta:
             raise FormatError(f"corpus meta is missing key {key!r}")
 
-    vocab = Vocabulary(meta["vocabulary"])
     feed_ids = meta["feeds"]
-    T = int(meta["T"])
-    W = len(vocab)
-    rows = _read_matrix(directory / "matrix.csv", (len(feed_ids), W, T))
+    try:
+        # every feed-independent check of validate() runs on the meta alone
+        corpus = Corpus(Vocabulary(meta["vocabulary"]), _parse_rfc3339(meta["t0"]),
+                        float(meta["bin_hours"]), int(meta["T"]), [],
+                        normalization=meta["normalization"],
+                        synthetic=bool(meta.get("synthetic", False)))
+        corpus.validate()
+        _check_unique("feed ids", feed_ids)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad corpus meta {meta_path}: {e}") from None
+    W, T = corpus.W, corpus.T
+    matrix_path = directory / "matrix.csv"
+    rows = _read_matrix(matrix_path, (len(feed_ids), W, T))
     # a stable sort keeps each feed's rows in file order, so duplicate
     # cells are summed in the same order as they were written
     rows = rows[np.argsort(rows["feed"], kind="stable")]
     bounds = np.searchsorted(rows["feed"], np.arange(len(feed_ids) + 1))
-    feeds = []
     for i, fid in enumerate(feed_ids):
         own = rows[bounds[i]:bounds[i + 1]]
         m = sp.coo_matrix((np.ascontiguousarray(own["value"]),
                            (own["term"], own["time"])), shape=(W, T))
-        feeds.append(FeedSeries(fid, m.tocsc()))
-    corpus = Corpus(vocab, _parse_rfc3339(meta["t0"]), float(meta["bin_hours"]),
-                    T, feeds, normalization=meta["normalization"],
-                    synthetic=bool(meta.get("synthetic", False)))
-    corpus.validate()
+        corpus.feeds.append(FeedSeries(fid, m.tocsc()))
+    try:
+        corpus.validate()
+    except ValueError as e:
+        raise FormatError(f"bad corpus data {matrix_path}: {e}") from None
     return corpus
 
 

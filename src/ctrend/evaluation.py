@@ -8,24 +8,15 @@ regularizer from a grid. Per fold the canonical pair is fit, the held-out
 correlation is recorded, and feeds are ranked by their mean fold score.
 
 Each feed is embedded once, with the largest lag; smaller lags are row
-blocks of it. Per-side factorizations switch between a primal (covariance)
-and a dual (Gram) route depending on which matrix is smaller; both give
-the same kernel spectrum, so results do not depend on the route.
-
-Inner folds on the primal route (dense embedding no wider than the fold's
-training set) are scored together: all of an outer fold's inner folds in
-one batch, or in several when a batch would outgrow ``_BATCH_BYTES``. The
-outer training block is cut at every inner test-block start and end and
-every discard-buffer end of the batch's folds; each segment's count, mean
-and centered scatter are formed once, and each inner fold's covariance is
-combined from its own training segments only. Smaller lags are trailing
-sub-blocks of the lag-max covariance, so each lag runs one ``eigh`` over
-the batch's inner folds, and the top canonical pair comes from the
-smaller Gram matrix of the reduced problem. Other inner folds are scored
-one at a time by the generic route, which factors the pool side once per
-fold. All randomness is confined to the shuffle control, with per-task
-seeds derived from the master seed, the feed id and the task purpose;
-given identical inputs the whole analysis is deterministic regardless of
+blocks of it. The solver core is in :mod:`kcca`: the side factors, the
+spectrum cut and the one canonical fit, which the final fold fit shares
+with ``solve_kcca``. Inner folds on the primal route (dense embedding no
+wider than the fold's training set) are scored in memory-bounded batches
+from segment moments (:func:`_score_fold_primal`); the others are scored
+one at a time on side factors (:func:`_score_fold_generic`). All
+randomness is confined to the shuffle control, with per-task seeds
+derived from the master seed, the feed id and the task purpose; given
+identical inputs the whole analysis is deterministic regardless of
 worker count.
 """
 
@@ -45,23 +36,24 @@ from .exceptions import (
     DegenerateProjection,
     DuplicateFeed,
     NotEnoughFeeds,
-    NumericalFailure,
     SeriesTooShort,
     TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
 )
 from .kcca import (
-    KAPPA_FLOOR,
-    RANK_RTOL,
     KccaModel,
     PrimalWeights,
-    center_cross,
-    center_kernel,
     linear_kernel,
     pearson_correlation,
+    _batched_eigenbases,
     _canonical_pairs,
+    _check_kappas,
+    _cols,
+    _fit_pair,
+    _lag_columns,
     _psd_eigenbasis,
+    _SideFactor,
     _top_pairs,
 )
 
@@ -105,8 +97,12 @@ class HyperGrid:
             raise ValueError("hyperparameter grid must be non-empty")
         if min(self.lags) < 1:
             raise ValueError("lags must be >= 1")
-        if min(self.kappas) < KAPPA_FLOOR:
-            raise ValueError(f"kappas must be >= {KAPPA_FLOOR:g}")
+        _check_kappas(self.kappas)
+        for name, values in (("lags", self.lags), ("kappas", self.kappas)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeat {', '.join(map(str, repeated))}; "
+                                 f"list each value once")
 
     @property
     def max_lag(self) -> int:
@@ -152,81 +148,6 @@ def _as_dense_if_small(m):
     if sp.issparse(m) and m.shape[0] * m.shape[1] <= _DENSE_LIMIT:
         return m.toarray()
     return m
-
-
-def _cols(m, idx) -> np.ndarray:
-    sub = m[:, idx]
-    return sub.toarray() if sp.issparse(sub) else np.asarray(sub, dtype=float)
-
-
-class _SideFactor:
-    """Centered, spectrally factored view of one side's training columns.
-
-    Works in whichever space is smaller: the covariance of the (dense)
-    training columns when the feature dimension is at most the sample
-    count, the centered Gram matrix otherwise. Either way ``theta`` holds
-    the centered-kernel eigenvalues, so the canonical solve downstream is
-    identical.
-    """
-
-    def __init__(self, data_full, train_idx, gram_fn=None):
-        self.data_full = data_full
-        self.train_idx = np.asarray(train_idx, dtype=int)
-        n = len(self.train_idx)
-        d = data_full.shape[0]
-        self.primal = d <= n
-        if self.primal:
-            a = _cols(data_full, self.train_idx)
-            self.mean = a.mean(axis=1)
-            self.ac = a - self.mean[:, None]
-            self.theta, self.basis = _psd_eigenbasis(self.ac @ self.ac.T)
-            self.sigma = np.sqrt(self.theta)
-        else:
-            self.k_full = gram_fn() if gram_fn is not None else linear_kernel(data_full)
-            k_train = self.k_full[np.ix_(self.train_idx, self.train_idx)]
-            kc, self.means = center_kernel(k_train)
-            self.theta, self.basis = _psd_eigenbasis(kc)
-
-    def dual_coef(self, a: np.ndarray) -> np.ndarray:
-        if self.primal:
-            return self.ac.T @ (self.basis @ (a / self.sigma))
-        return self.basis @ a
-
-    def train_projection(self, a: np.ndarray) -> np.ndarray:
-        if self.primal:
-            return self.ac.T @ self.primal_weight(a)
-        return self.basis @ (self.theta * a)
-
-    def primal_weight(self, a: np.ndarray) -> np.ndarray:
-        if self.primal:
-            return self.basis @ (a * self.sigma)
-        w = self.data_full[:, self.train_idx] @ self.dual_coef(a)
-        return np.asarray(w).ravel()
-
-    def prepare_cols(self, idx) -> np.ndarray:
-        """Centered evaluation data for :meth:`project_batch`."""
-        idx = np.asarray(idx, dtype=int)
-        if self.primal:
-            return _cols(self.data_full, idx) - self.mean[:, None]
-        return center_cross(self.k_full[np.ix_(self.train_idx, idx)], self.means)
-
-    def project_batch(self, a_rows: np.ndarray, prepared: np.ndarray) -> np.ndarray:
-        """Project a whole batch of coefficient rows at once: (k, m)."""
-        if self.primal:
-            return (a_rows * self.sigma) @ self.basis.T @ prepared
-        return a_rows @ self.basis.T @ prepared
-
-    def cross_with(self, other: "_SideFactor") -> np.ndarray:
-        """Ux^T Uy between the two sides' kernel eigenbases."""
-        if self.primal and other.primal:
-            left = self.basis / self.sigma
-            right = other.basis / other.sigma
-            return (left.T @ (self.ac @ other.ac.T)) @ right
-        if self.primal:
-            return (self.basis / self.sigma).T @ (self.ac @ other.basis)
-        if other.primal:
-            return other.cross_with(self).T
-        return self.basis.T @ other.basis
 
 
 @dataclass
@@ -332,23 +253,6 @@ def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
     return means, scatter
 
 
-def _batched_eigenbases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_psd_eigenbasis` over a stack of matrices in one ``eigh`` call.
-
-    Returns eigenvalues and vectors in descending order plus the kept rank
-    per matrix (the RANK_RTOL cut); a rank of 0 marks a degenerate matrix.
-    """
-    try:
-        theta, u = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"kernel eigendecomposition failed: {e}") from None
-    theta = theta[:, ::-1]
-    u = u[:, :, ::-1]
-    top = theta[:, :1]
-    rank = np.where(top[:, 0] > 0.0, (theta > top * RANK_RTOL).sum(axis=1), 0)
-    return theta, u, rank
-
-
 def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
                        kappas: np.ndarray) -> np.ndarray:
     """Score every (lag, kappa) grid point on a batch of inner folds.
@@ -412,10 +316,8 @@ def _score_fold_generic(data: _FeedData, train_idx, test_idx,
             sx = _SideFactor(data.emb[lag], train_idx, data.gram_x[lag])
         except DegenerateProjection:
             continue  # counts as zero for every kappa
-        cross = sx.cross_with(sy)
-        prep_x = sx.prepare_cols(test_idx)
-        _, a, b = _canonical_pairs(sx.theta, sy.theta, cross, kappas)
-        scores[li] = _pearson_rows(sx.project_batch(a, prep_x),
+        _, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy), kappas)
+        scores[li] = _pearson_rows(sx.project_batch(a, sx.prepare_cols(test_idx)),
                                    sy.project_batch(b, prep_y))
     return scores
 
@@ -513,14 +415,6 @@ def canonical_correlogram(weights: PrimalWeights, x_feed, pool,
     return out
 
 
-def _oriented(w_x: np.ndarray, w_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # reporting convention: dominant pooled-side weight positive; flipping
-    # both sides together leaves every correlation unchanged
-    if w_y[np.argmax(np.abs(w_y))] < 0:
-        return -w_x, -w_y
-    return w_x, w_y
-
-
 def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
                    n_inner: int) -> FoldOutcome:
     lag, kappa, inner_scores = _nested_select(data, fold.train_indices, n_inner)
@@ -530,20 +424,8 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
     except DegenerateProjection:
         return FoldOutcome(fold_index, lag, kappa, 0.0, True, None, None, None,
                            [], inner_scores)
-    lams, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy),
-                                  np.array([kappa]))
-    a, b = a[0], b[0]
-    beta = sy.dual_coef(b)
-    if beta[np.argmax(np.abs(beta))] < 0:
-        a, b, beta = -a, -b, -beta
-    alpha = sx.dual_coef(a)
-    u_tr = sx.train_projection(a)
-    v_tr = sy.train_projection(b)
-    lam = pearson_correlation(u_tr, v_tr)
-    norms = (float(np.linalg.norm(u_tr - u_tr.mean())),
-             float(np.linalg.norm(v_tr - v_tr.mean())))
-    model = KccaModel(alpha, beta, lam, float(lams[0]), kappa, n_lags=lag,
-                      train_indices=fold.train_indices, side_norms=norms)
+    model, a, b = _fit_pair(sx, sy, kappa, n_lags=lag,
+                            train_indices=fold.train_indices)
 
     degenerate = False
     try:
@@ -554,10 +436,11 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
         c = 0.0
         degenerate = True
 
-    w_flat = sx.primal_weight(a)
-    w_x = w_flat.reshape(lag, -1)[::-1].T  # column tau-1 = lag tau
-    w_y = sy.primal_weight(b)
-    w_x, w_y = _oriented(w_x, w_y)
+    w_x, w_y = _lag_columns(sx.primal_weight(a), lag), sy.primal_weight(b)
+    # reported with the dominant pooled-side weight positive; flipping both
+    # sides together leaves every correlation unchanged
+    if w_y[np.argmax(np.abs(w_y))] < 0:
+        w_x, w_y = -w_x, -w_y
     correlogram = canonical_correlogram(
         PrimalWeights(w_x, w_y), data.x_raw, data.pool_raw,
         fold.test_indices + data.trim)
@@ -605,22 +488,18 @@ def lsa_baseline(x_feed, pool, plan: FoldPlan, lags, trim: int
     fold_scores: list[float] = []
     per_lag_all: list[list[float | None]] = []
     for fold in plan.folds:
-        eval_times = fold.test_indices + trim
         try:
             v_x = lsa_direction(x_trim[:, fold.train_indices])
             v_y = lsa_direction(pool_trim[:, fold.train_indices])
-            series_y = v_y @ _cols(pool, eval_times)
         except DegenerateProjection:
             fold_scores.append(0.0)
             per_lag_all.append([None] * len(lags))
             continue
-        per_lag: list[float | None] = []
-        for tau in lags:
-            series_x = v_x @ _cols(x_feed, eval_times - tau)
-            try:
-                per_lag.append(pearson_correlation(series_x, series_y))
-            except DegenerateProjection:
-                per_lag.append(None)
+        # the same feed direction at every lag
+        weights = PrimalWeights(np.repeat(v_x[:, None], max(lags), axis=1), v_y)
+        rho = dict(canonical_correlogram(weights, x_feed, pool,
+                                         fold.test_indices + trim))
+        per_lag = [rho[tau] for tau in lags]
         defined = [r for r in per_lag if r is not None]
         fold_scores.append(max(defined) if defined else 0.0)
         per_lag_all.append(per_lag)

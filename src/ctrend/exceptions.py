@@ -62,8 +62,12 @@ class NumericalFailure(CTError):
     """The eigensolve / SVD did not converge."""
 
 
-class SingularRhs(CTError):
+class SingularRhs(CTError, ValueError):
     """Regularizer below the floor; the right-hand side would be singular."""
+
+
+class BadKappa(CTError, ValueError):
+    """A regularizer that is not a finite number."""
 
 
 class ShapeMismatch(CTError):

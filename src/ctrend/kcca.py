@@ -15,6 +15,14 @@ the eigenvalue. Eigenvectors carrying lambda != 0 always lie in the kernel
 ranges (the kappa I term forces any null-space component to zero), so the
 reduction is exact, not an approximation.
 
+Each side is factored once (:class:`_SideFactor`) in whichever space is
+smaller: the covariance of its dense training columns when the feature
+dimension is at most the sample count (primal), the centered Gram matrix
+otherwise (dual). Both give the centered-kernel spectrum, so the solve
+does not depend on the route. :func:`_fit_pair` solves, orients and
+measures the pair on two factors; ``solve_kcca`` and the per-fold fit of
+``evaluation`` both run it.
+
 Only the first canonical pair is computed. The kernels are linear (Gram
 matrices), which is what makes primal-weight recovery possible.
 """
@@ -27,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import (
+    BadKappa,
     DegenerateProjection,
     NumericalFailure,
     ShapeMismatch,
@@ -132,22 +141,121 @@ class PrimalWeights:
     w_y: np.ndarray
 
 
-def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and vectors of a centered PSD kernel.
-
-    Numerical null space is cut at RANK_RTOL relative to the top value.
-    Raises DegenerateProjection when no variance is left.
-    """
+def _batched_eigenbases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a centered PSD kernel, or a stack of them, in one
+    ``eigh`` call: descending, with the rank each keeps above RANK_RTOL
+    times its top value (0 when no variance is left)."""
     try:
-        theta, u = np.linalg.eigh(k)
+        theta, u = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"kernel eigendecomposition failed: {e}") from None
-    theta = theta[::-1]
-    u = u[:, ::-1]
-    if theta.size == 0 or theta[0] <= 0.0:
+    theta = theta[..., ::-1]
+    u = u[..., ::-1]
+    top = theta.max(axis=-1, initial=0.0, keepdims=True)
+    rank = np.where(top[..., 0] > 0.0, (theta > top * RANK_RTOL).sum(axis=-1), 0)
+    return theta, u, rank
+
+
+def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel's kept eigenpairs, or DegenerateProjection. The vectors
+    are a column-major copy: the last bits of the BLAS calls downstream
+    depend on that layout."""
+    theta, u, rank = _batched_eigenbases(k)
+    if rank == 0:
         raise DegenerateProjection("kernel has no positive eigenvalue")
-    keep = theta > theta[0] * RANK_RTOL
-    return theta[keep], u[:, keep]
+    return theta[:rank].copy(), np.array(u[:, :rank], order="F")
+
+
+def _cols(m, idx) -> np.ndarray:
+    sub = m[:, idx]
+    return sub.toarray() if sp.issparse(sub) else np.asarray(sub, dtype=float)
+
+
+class _SideFactor:
+    """Centered, spectrally factored view of one side's training columns,
+    on the primal or the dual route (see the module docstring)."""
+
+    def __init__(self, data_full, train_idx, gram_fn=None):
+        self.data_full = data_full
+        self.train_idx = np.asarray(train_idx, dtype=int)
+        n = len(self.train_idx)
+        d = data_full.shape[0]
+        self.primal = d <= n
+        if self.primal:
+            a = _cols(data_full, self.train_idx)
+            self.mean = a.mean(axis=1)
+            self.ac = a - self.mean[:, None]
+            self.theta, self.basis = _psd_eigenbasis(self.ac @ self.ac.T)
+            self.sigma = np.sqrt(self.theta)
+        else:
+            self.k_full = gram_fn() if gram_fn is not None else linear_kernel(data_full)
+            k_train = self.k_full[np.ix_(self.train_idx, self.train_idx)]
+            kc, self.means = center_kernel(k_train)
+            self.theta, self.basis = _psd_eigenbasis(kc)
+
+    @classmethod
+    def of_centered(cls, kc: np.ndarray) -> "_SideFactor":
+        """Dual factor of a centered kernel; no data side, only the solve."""
+        side = cls.__new__(cls)
+        side.primal = False
+        side.theta, side.basis = _psd_eigenbasis(kc)
+        return side
+
+    def dual_coef(self, a: np.ndarray) -> np.ndarray:
+        if self.primal:
+            return self.ac.T @ (self.basis @ (a / self.sigma))
+        return self.basis @ a
+
+    def train_projection(self, a: np.ndarray) -> np.ndarray:
+        if self.primal:
+            return self.ac.T @ self.primal_weight(a)
+        return self.basis @ (self.theta * a)
+
+    def primal_weight(self, a: np.ndarray) -> np.ndarray:
+        if self.primal:
+            return self.basis @ (a * self.sigma)
+        w = self.data_full[:, self.train_idx] @ self.dual_coef(a)
+        return np.asarray(w).ravel()
+
+    def prepare_cols(self, idx) -> np.ndarray:
+        """Centered evaluation data for :meth:`project_batch`."""
+        idx = np.asarray(idx, dtype=int)
+        if self.primal:
+            return _cols(self.data_full, idx) - self.mean[:, None]
+        return center_cross(self.k_full[np.ix_(self.train_idx, idx)], self.means)
+
+    def project_batch(self, a_rows: np.ndarray, prepared: np.ndarray) -> np.ndarray:
+        """Project a whole batch of coefficient rows at once: (k, m)."""
+        if self.primal:
+            return (a_rows * self.sigma) @ self.basis.T @ prepared
+        return a_rows @ self.basis.T @ prepared
+
+    def cross_with(self, other: "_SideFactor") -> np.ndarray:
+        """Ux^T Uy between the two sides' kernel eigenbases."""
+        if self.primal and other.primal:
+            left = self.basis / self.sigma
+            right = other.basis / other.sigma
+            return (left.T @ (self.ac @ other.ac.T)) @ right
+        if self.primal:
+            return (self.basis / self.sigma).T @ (self.ac @ other.basis)
+        if other.primal:
+            return other.cross_with(self).T
+        return self.basis.T @ other.basis
+
+
+def _check_kappas(kappas) -> np.ndarray:
+    """The regularizers as a float array. Raises BadKappa for one that is
+    not finite and SingularRhs for one below KAPPA_FLOOR."""
+    kappas = np.asarray(kappas, dtype=float)
+    if not np.isfinite(kappas).all():
+        raise BadKappa(f"kappa={kappas[~np.isfinite(kappas)][0]:g} is not a "
+                       f"finite number")
+    if kappas.min() < KAPPA_FLOOR:
+        raise SingularRhs(
+            f"kappa={kappas.min():g} below floor {KAPPA_FLOOR:g}; right-hand "
+            f"side would be singular on centered kernels"
+        )
+    return kappas
 
 
 def _reduced_problem(theta_x: np.ndarray, theta_y: np.ndarray,
@@ -157,15 +265,9 @@ def _reduced_problem(theta_x: np.ndarray, theta_y: np.ndarray,
 
     Leading axes of ``theta_x`` (..., rx), ``theta_y`` (..., ry) and
     ``cross`` (..., rx, ry) index a stack of problems; the kappa axis comes
-    right after them: M is (..., k, rx, ry). Raises SingularRhs for a kappa
-    below KAPPA_FLOOR.
+    right after them: M is (..., k, rx, ry).
     """
-    kappas = np.asarray(kappas, dtype=float)
-    if kappas.min() < KAPPA_FLOOR:
-        raise SingularRhs(
-            f"kappa={kappas.min():g} below floor {KAPPA_FLOOR:g}; right-hand "
-            f"side would be singular on centered kernels"
-        )
+    kappas = _check_kappas(kappas)
     sqrt_dx = np.sqrt(theta_x[..., None, :] ** 2 + kappas[:, None])
     sqrt_dy = np.sqrt(theta_y[..., None, :] ** 2 + kappas[:, None])
     m = (theta_x[..., None, :] / sqrt_dx)[..., :, None] * cross[..., None, :, :] \
@@ -217,14 +319,31 @@ def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
     return s, u / sqrt_dx, v / sqrt_dy
 
 
+def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float, **model_fields
+              ) -> tuple[KccaModel, np.ndarray, np.ndarray]:
+    """First canonical pair of two side factors at one kappa, as a model
+    and the coefficient rows a, b in the sides' eigenbases. Sign: beta's
+    largest-magnitude entry is positive, alpha flips along with it."""
+    lams, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy),
+                                  np.array([kappa]))
+    a, b = a[0], b[0]
+    beta = sy.dual_coef(b)
+    if beta[np.argmax(np.abs(beta))] < 0:
+        a, b, beta = -a, -b, -beta
+    u = sx.train_projection(a)
+    v = sy.train_projection(b)
+    norms = (float(np.linalg.norm(u - u.mean())),
+             float(np.linalg.norm(v - v.mean())))
+    model = KccaModel(sx.dual_coef(a), beta, pearson_correlation(u, v),
+                      float(lams[0]), kappa, side_norms=norms, **model_fields)
+    return model, a, b
+
+
 def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
                n_lags: int | None = None,
                train_indices: np.ndarray | None = None) -> KccaModel:
-    """Solve for the first canonical pair on centered training kernels.
-
-    Sign convention: beta's largest-magnitude entry is positive, and alpha
-    is flipped along with it so the training correlation stays +lam.
-    """
+    """First canonical pair on centered training kernels, by the same
+    fit (:func:`_fit_pair`) that ``analyze`` runs per fold."""
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     if kx.shape != ky.shape or kx.shape[0] != kx.shape[1]:
@@ -232,21 +351,8 @@ def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
                             f"got {kx.shape} and {ky.shape}")
     if kx.shape[0] < 2:
         raise TooFewSamples("need at least 2 training samples")
-    theta_x, ux = _psd_eigenbasis(kx)
-    theta_y, uy = _psd_eigenbasis(ky)
-    lams, a, b = _canonical_pairs(theta_x, theta_y, ux.T @ uy, np.array([kappa]))
-    alpha = ux @ a[0]
-    beta = uy @ b[0]
-    if beta[np.argmax(np.abs(beta))] < 0:
-        alpha = -alpha
-        beta = -beta
-    u = kx @ alpha
-    v = ky @ beta
-    lam = pearson_correlation(u, v)
-    norms = (float(np.linalg.norm(u - u.mean())),
-             float(np.linalg.norm(v - v.mean())))
-    return KccaModel(alpha, beta, lam, float(lams[0]), kappa, n_lags=n_lags,
-                     train_indices=train_indices, side_norms=norms)
+    return _fit_pair(_SideFactor.of_centered(kx), _SideFactor.of_centered(ky),
+                     kappa, n_lags=n_lags, train_indices=train_indices)[0]
 
 
 def project(model: KccaModel, kx_block: np.ndarray, ky_block: np.ndarray
@@ -256,23 +362,17 @@ def project(model: KccaModel, kx_block: np.ndarray, ky_block: np.ndarray
     Blocks have training rows and arbitrary time columns and must already
     be centered with the training means (see :func:`center_cross`).
     """
-    kx_block = np.atleast_2d(np.asarray(kx_block, dtype=float))
-    ky_block = np.atleast_2d(np.asarray(ky_block, dtype=float))
-    if kx_block.shape[0] != model.alpha.shape[0]:
-        raise ShapeMismatch(
-            f"kx block has {kx_block.shape[0]} rows, model has "
-            f"{model.alpha.shape[0]} training samples"
-        )
-    if ky_block.shape[0] != model.beta.shape[0]:
-        raise ShapeMismatch(
-            f"ky block has {ky_block.shape[0]} rows, model has "
-            f"{model.beta.shape[0]} training samples"
-        )
-    u = model.alpha @ kx_block
-    v = model.beta @ ky_block
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+    out = []
+    for name, coef, block in (("kx", model.alpha, kx_block),
+                              ("ky", model.beta, ky_block)):
+        block = np.atleast_2d(np.asarray(block, dtype=float))
+        if block.shape[0] != coef.shape[0]:
+            raise ShapeMismatch(f"{name} block has {block.shape[0]} rows, model "
+                                f"has {coef.shape[0]} training samples")
+        out.append(coef @ block)
+    if not all(np.isfinite(w).all() for w in out):
         raise NumericalFailure("projection produced non-finite values")
-    return u, v
+    return out[0], out[1]
 
 
 def recover_primal(model: KccaModel, x_embedded, y_trimmed) -> PrimalWeights:
@@ -289,16 +389,16 @@ def recover_primal(model: KccaModel, x_embedded, y_trimmed) -> PrimalWeights:
         raise ShapeMismatch("number of lags unknown; pass an EmbeddedMatrix "
                             "or a model with n_lags set")
     if x.shape[1] != model.alpha.shape[0]:
-        raise ShapeMismatch(
-            f"embedded matrix has {x.shape[1]} columns, model has "
-            f"{model.alpha.shape[0]} training samples"
-        )
+        raise ShapeMismatch(f"embedded matrix has {x.shape[1]} columns, model "
+                            f"has {model.alpha.shape[0]} training samples")
     if x.shape[0] % n_lags != 0:
-        raise ShapeMismatch(
-            f"embedded row count {x.shape[0]} not divisible by {n_lags} lags"
-        )
-    w_flat = np.asarray(x @ model.alpha).ravel()
-    blocks = w_flat.reshape(n_lags, -1)  # block b holds lag n_lags - b
-    w_x = blocks[::-1].T  # column tau-1 holds lag tau
-    w_y = np.asarray(y_trimmed @ model.beta).ravel()
-    return PrimalWeights(w_x, w_y)
+        raise ShapeMismatch(f"embedded row count {x.shape[0]} not divisible "
+                            f"by {n_lags} lags")
+    return PrimalWeights(_lag_columns(np.asarray(x @ model.alpha).ravel(), n_lags),
+                         np.asarray(y_trimmed @ model.beta).ravel())
+
+
+def _lag_columns(w_flat: np.ndarray, n_lags: int) -> np.ndarray:
+    """Flat weights over a lag embedding as W x n_lags, column tau-1 for
+    lag tau (embedded row block b holds lag n_lags - b)."""
+    return w_flat.reshape(n_lags, -1)[::-1].T

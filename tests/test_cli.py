@@ -31,6 +31,9 @@ def test_parse_kappas():
     assert parse_kappas("1e-3,0.1") == (1e-3, 0.1)
     with pytest.raises(ValueError):
         parse_kappas("2e-5..1e1")
+    for spec in ("0..1", "1e-3..0", "nan..1", "1..inf"):
+        with pytest.raises(ValueError, match="range ends must be positive and finite"):
+            parse_kappas(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +352,41 @@ def test_analyze_rejects_bad_counts(tmp_path, capsys, flag, value):
              flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kappas", "nan", "kappa=nan is not a finite number"),
+    ("--kappas", "inf", "kappa=inf is not a finite number"),
+    ("--kappas", "1e-9", "kappa=1e-09 below floor 1e-08; right-hand side would "
+                         "be singular on centered kernels"),
+    ("--kappas", "0..1", "kappa range ends must be positive and finite, got 0..1"),
+    ("--kappas", "1e-2,1e-2", "kappas repeat 0.01; list each value once"),
+    ("--lags", "1,1", "lags repeat 1; list each value once")])
+def test_analyze_rejects_bad_grids(tmp_path, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--corpus", tmp_path / "c", "--out", tmp_path / "out",
+             flag, value])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "correlogram"])
+def test_malformed_corpus_is_a_named_error(analyzed, tmp_path, capsys, command):
+    corpus_dir, out = analyzed
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    meta = json.loads((corpus_dir / "meta.json").read_text())
+    meta["feeds"] = ["X", "X"]
+    (bad / "meta.json").write_text(json.dumps(meta))
+    (bad / "matrix.csv").write_bytes((corpus_dir / "matrix.csv").read_bytes())
+    capsys.readouterr()
+    args = {"analyze": ["--out", tmp_path / "out"],
+            "correlogram": ["--models", out / "models.json", "--feed", "X",
+                            "--out", tmp_path / "x.csv"]}[command]
+    assert run([command, "--corpus", bad, *args]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: bad corpus meta {bad / 'meta.json'}: feed ids must "
+                   f"be unique; repeated: ['X']\n")
 
 
 def test_analyze_rejects_repeated_feed(tmp_path, capsys):

@@ -342,6 +342,36 @@ def test_load_header_only_is_all_zero_without_warning(tmp_path, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("vocabulary", ["ash", "cloud", "ash", "jet", "sky", "sky"],
+     "vocabulary terms must be unique; repeated: ['ash', 'sky']"),
+    ("feeds", ["f0", "f0"], "feed ids must be unique; repeated: ['f0']"),
+    ("T", "twelve", "invalid literal for int() with base 10: 'twelve'"),
+    ("T", None, "int() argument must be a string"),
+    ("bin_hours", "hourly", "could not convert string to float: 'hourly'"),
+])
+def test_load_names_bad_meta(tmp_path, key, value, problem):
+    d = store_corpus(_random_corpus(), tmp_path / "c")
+    meta = json.loads((d / "meta.json").read_text())
+    meta[key] = value
+    (d / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError) as exc:
+        load_corpus(d)
+    assert str(exc.value).startswith(f"bad corpus meta {d / 'meta.json'}: {problem}")
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("nan", "non-finite"), ("-1e300", "negative")])
+def test_load_names_bad_values(tmp_path, value, problem):
+    d = store_corpus(_random_corpus(), tmp_path / "c")
+    with open(d / "matrix.csv", "a") as fh:
+        fh.write(f"1,2,3,{value}\n")
+    with pytest.raises(FormatError) as exc:
+        load_corpus(d)
+    assert str(exc.value) == (f"bad corpus data {d / 'matrix.csv'}: feed 'f1' "
+                              f"contains {problem} values")
+
+
 def test_content_hash_tracks_data(tmp_path):
     d1 = store_corpus(_random_corpus(seed=1), tmp_path / "a")
     d2 = store_corpus(_random_corpus(seed=1), tmp_path / "b")

@@ -40,6 +40,7 @@ from ctrend.evaluation import (
     select_best_grid_point,
 )
 from ctrend.exceptions import (
+    BadKappa,
     DegenerateProjection,
     DuplicateFeed,
     NotEnoughFeeds,
@@ -144,6 +145,21 @@ def test_hypergrid_validation():
         HyperGrid(lags=(0, 1))
     with pytest.raises(ValueError):
         HyperGrid(kappas=(1e-12,))
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_hypergrid_names_a_kappa_that_is_not_finite(kappa):
+    with pytest.raises(BadKappa, match=f"kappa={kappa} is not a finite number"):
+        HyperGrid(kappas=(1e-2, kappa))
+
+
+@pytest.mark.parametrize("lags, kappas, message", [
+    ((1, 2, 1), (1.0,), "lags repeat 1; list each value once"),
+    ((1,), (1e-2, 0.01, 1.0), "kappas repeat 0.01; list each value once")])
+def test_hypergrid_rejects_repeated_values(lags, kappas, message):
+    with pytest.raises(ValueError) as exc:
+        HyperGrid(lags=lags, kappas=kappas)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from ctrend import (
     trim_pool,
 )
 from ctrend.exceptions import (
+    BadKappa,
     DegenerateProjection,
     ShapeMismatch,
     SingularRhs,
@@ -208,6 +209,14 @@ def test_kappa_floor_enforced():
         solve_kcca(kx, ky, 1e-12)
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf")])
+def test_kappa_that_is_not_finite_is_named(kappa):
+    emb, pool = toy_matrices(T=100, seed=6)
+    kx, ky, _, _ = centered_pair(emb, pool)
+    with pytest.raises(BadKappa, match=f"kappa={kappa} is not a finite number"):
+        solve_kcca(kx, ky, kappa)
+
+
 def test_degenerate_kernel_rejected():
     z = np.zeros((10, 10))
     with pytest.raises(DegenerateProjection):
@@ -346,3 +355,6 @@ def test_top_pairs_kappa_floor():
     with pytest.raises(SingularRhs):
         _top_pairs(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2, 2)),
                    np.array([1e-9]))
+    with pytest.raises(BadKappa, match="kappa=nan"):
+        _top_pairs(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2, 2)),
+                   np.array([1.0, np.nan]))

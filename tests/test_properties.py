@@ -19,10 +19,11 @@ from ctrend import (
     tfidf_normalize,
 )
 from ctrend.embedding import embed_columns
-from ctrend.evaluation import HyperGrid, _FeedData
+from ctrend.evaluation import HyperGrid, _FeedData, _fit_feed_fold
+from ctrend.kcca import center_kernel, linear_kernel, solve_kcca
 from ctrend.reporting import dumps
 
-from oracles import json_text
+from oracles import generalized_eig_top, json_text
 
 
 @st.composite
@@ -135,3 +136,100 @@ _VALUES = st.recursive(
 @given(obj=_VALUES)
 def test_dumps_matches_value_by_value_writer(obj):
     assert dumps(obj) == json_text(obj) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one (feed, fold) fit on generated feeds
+
+@st.composite
+def fold_cases(draw):
+    """A feed and its pool over T columns, the grid, the trim and one outer
+    fold. The feed is narrow (W * L below the fold's training count, the
+    primal factor) or wide (above it, the dual factor); a few of its rows
+    may repeat others."""
+    lags = tuple(sorted(draw(st.sets(st.integers(1, 3), min_size=1, max_size=2))))
+    trim = max(lags)
+    n_folds, n_inner = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    t = trim + draw(st.integers(45, 90))
+    w = draw(st.one_of(st.integers(1, 4), st.integers(25, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    latent = rng.standard_normal(t)
+    x = np.outer(rng.standard_normal(w), latent) + rng.standard_normal((w, t))
+    x *= rng.random((w, t)) < 0.7
+    dup = draw(st.integers(0, min(w - 1, 3)))
+    x[w - dup:] = x[:dup]
+    pool = np.outer(rng.standard_normal(w), np.roll(latent, 1)) \
+        + rng.standard_normal((w, t))
+    plan = evaluation.plan_folds(t - trim, n_folds, trim)
+    fold_i = draw(st.integers(0, n_folds - 1))
+    return x, pool, lags, trim, plan, fold_i, n_inner
+
+
+_FIT_FIELDS = ("alpha", "beta", "lam", "eigenvalue", "n_lags", "kappa")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=fold_cases(), sparse_input=st.booleans())
+def test_fit_is_bit_identical_when_the_test_block_is_randomized(case, sparse_input):
+    """Criterion 08 on generated feeds: the training of one outer fold
+    never reads its test block, in the feed or in the pool."""
+    x, pool, lags, trim, plan, fold_i, n_inner = case
+    fold = plan.folds[fold_i]
+    grid = HyperGrid(lags=lags, kappas=(1e-3, 1.0))
+
+    def fit(x, pool):
+        as_input = sp.csc_matrix if sparse_input else np.asarray
+        # sparse input stays sparse, so that the generic route scores too
+        limit = 0 if sparse_input else evaluation._DENSE_LIMIT
+        with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
+            data = _FeedData(as_input(x), as_input(pool), grid, trim)
+            return _fit_feed_fold(data, fold, fold_i, n_inner)
+
+    base = fit(x, pool)
+    rng = np.random.default_rng(fold_i)
+    times = fold.test_indices + trim
+    x2, pool2 = x.copy(), pool.copy()
+    x2[:, times] = rng.standard_normal((x.shape[0], len(times)))
+    pool2[:, times] = rng.standard_normal((pool.shape[0], len(times)))
+    redo = fit(x2, pool2)
+    assert (base.n_lags, base.kappa) == (redo.n_lags, redo.kappa)
+    assert np.array_equal(base.inner_scores, redo.inner_scores)
+    if base.model is None:
+        assert redo.model is None
+        return
+    for name in _FIT_FIELDS:
+        assert np.array_equal(getattr(base.model, name), getattr(redo.model, name)), name
+    assert np.array_equal(base.w_x, redo.w_x)
+    assert np.array_equal(base.w_y, redo.w_y)
+
+
+@st.composite
+def route_cases(draw):
+    """One fold of a feed with W below, near or above the fold's training
+    count n, with repeated rows, at one kappa."""
+    t = draw(st.integers(40, 70))
+    n = len(evaluation.plan_folds(t - 1, 2, 1).folds[0].train_indices)
+    w = draw(st.sampled_from([max(1, n // 8), n - 1, n, n + 1, 2 * n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((max(1, w - w // 4), t))
+    x = base[np.arange(w) % len(base)]  # the last quarter repeats rows
+    pool = 0.5 * np.roll(x[:3], 1, axis=1).sum(axis=0) + rng.standard_normal((4, t))
+    kappa = draw(st.sampled_from([1e-3, 1e-1, 1.0]))
+    return x, pool, t, kappa
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=route_cases())
+def test_fit_eigenvalue_matches_kernel_solve_and_oracle(case):
+    x, pool, t, kappa = case
+    grid = HyperGrid(lags=(1,), kappas=(kappa,))
+    fold = evaluation.plan_folds(t - 1, 2, 1).folds[0]
+    data = _FeedData(x, pool, grid, 1)
+    out = _fit_feed_fold(data, fold, 0, 2)
+    assert (out.n_lags, out.kappa) == (1, kappa)
+    emb = data.emb[1][:, fold.train_indices]
+    kx, _ = center_kernel(linear_kernel(emb))
+    ky, _ = center_kernel(linear_kernel(data.pool_trim[:, fold.train_indices]))
+    reference = generalized_eig_top(kx, ky, kappa)
+    assert abs(out.model.eigenvalue - solve_kcca(kx, ky, kappa).eigenvalue) < 1e-9
+    assert abs(out.model.eigenvalue - reference) < 1e-9
