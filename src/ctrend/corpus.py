@@ -405,14 +405,19 @@ def load_corpus(directory: str | Path) -> Corpus:
 
     feed_ids = meta["feeds"]
     try:
+        bin_hours, T = float(meta["bin_hours"]), int(meta["T"])
+        if not (math.isfinite(bin_hours) and bin_hours > 0):
+            raise ValueError(f"bin_hours must be finite and positive, "
+                             f"got {meta['bin_hours']!r}")
+        if T != meta["T"] or T < 1:  # int() truncates 12.7 and parses "12"
+            raise ValueError(f"T must be a positive integer, got {meta['T']!r}")
         # every feed-independent check of validate() runs on the meta alone
         corpus = Corpus(Vocabulary(meta["vocabulary"]), _parse_rfc3339(meta["t0"]),
-                        float(meta["bin_hours"]), int(meta["T"]), [],
-                        normalization=meta["normalization"],
+                        bin_hours, T, [], normalization=meta["normalization"],
                         synthetic=bool(meta.get("synthetic", False)))
         corpus.validate()
         _check_unique("feed ids", feed_ids)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad corpus meta {meta_path}: {e}") from None
     W, T = corpus.W, corpus.T
     matrix_path = directory / "matrix.csv"

@@ -13,7 +13,14 @@ spectrum cut and the one canonical fit, which the final fold fit shares
 with ``solve_kcca``. Inner folds on the primal route (dense embedding no
 wider than the fold's training set) are scored in memory-bounded batches
 from segment moments (:func:`_score_fold_primal`); the others are scored
-one at a time on side factors (:func:`_score_fold_generic`). All
+one at a time on side factors (:func:`_score_fold_generic`).
+
+:func:`analyze` runs its tasks feed-major: each feed's outer folds, then
+its baseline and shuffle control. A process holds one feed's working set
+at a time (its pool, dense copies, lag-max embedding and Gram cache):
+built at the feed's first task, dropped before the next feed's is built
+and when ``analyze`` returns. Peak memory is one working set whatever the
+number of feeds; ``jobs`` worker processes hold up to one each. All
 randomness is confined to the shuffle control, with per-task seeds
 derived from the master seed, the feed id and the task purpose; given
 identical inputs the whole analysis is deterministic regardless of
@@ -616,6 +623,7 @@ def derive_seed(master: int, feed_id: str, fold: int, purpose: str
 
 
 _CTX: dict = {}
+# the working set of at most one feed: {feed_id: _FeedData}
 _FEED_CACHE: dict = {}
 
 
@@ -626,8 +634,13 @@ def _init_worker(context):
 
 
 def _feed_data(feed_id: str) -> _FeedData:
+    """The feed's working set: its pool, dense copies, lag-max embedding and
+    Gram cache. Another feed's is dropped before this one is built."""
     if feed_id not in _FEED_CACHE:
-        _FEED_CACHE[feed_id] = _FeedData(_CTX["x"][feed_id], _CTX["pool"][feed_id],
+        _FEED_CACHE.clear()
+        corpus = _CTX["corpus"]
+        _FEED_CACHE[feed_id] = _FeedData(corpus.feed(feed_id).matrix,
+                                         pool_excluding(corpus, feed_id).matrix,
                                          _CTX["grid"], _CTX["trim"])
     return _FEED_CACHE[feed_id]
 
@@ -645,6 +658,9 @@ def _run_task(task):
         return lsa_baseline(data.x_raw, data.pool_raw, ctx["plan"],
                             ctx["grid"].lags, ctx["trim"])
     if kind == "shuffle":
+        # the control builds its own _FeedData; the feed's last task, so
+        # its cached one goes first
+        _FEED_CACHE.clear()
         return shuffle_control(ctx["corpus"], feed_id,
                                derive_seed(ctx["seed"], feed_id, 0, "shuffle"),
                                ctx["grid"], ctx["n_folds"], ctx["n_inner"])
@@ -762,8 +778,6 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     context = {
         "corpus": corpus,
         "feed_ids": feed_ids,
-        "x": {f: corpus.feed(f).matrix for f in feed_ids},
-        "pool": {f: pool_excluding(corpus, f).matrix for f in feed_ids},
         "plan": plan,
         "grid": grid,
         "trim": trim,
@@ -771,12 +785,16 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
         "n_inner": n_inner,
         "seed": seed,
     }
-    tasks = [("ct", fi, fold_i)
-             for fi in range(len(feed_ids)) for fold_i in range(n_folds)]
-    if with_lsa:
-        tasks += [("lsa", fi) for fi in range(len(feed_ids))]
-    if with_shuffle:
-        tasks += [("shuffle", fi) for fi in range(len(feed_ids))]
+    # feed-major, so a process holds one feed's working set at a time
+    # (see _feed_data); a worker takes tasks in order and so builds each
+    # feed's at most once
+    tasks = []
+    for fi in range(len(feed_ids)):
+        tasks += [("ct", fi, fold_i) for fold_i in range(n_folds)]
+        if with_lsa:
+            tasks.append(("lsa", fi))
+        if with_shuffle:
+            tasks.append(("shuffle", fi))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
@@ -784,7 +802,10 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
             results = list(executor.map(_run_task, tasks))
     else:
         _init_worker(context)
-        results = [_run_task(t) for t in tasks]
+        try:
+            results = [_run_task(t) for t in tasks]
+        finally:
+            _init_worker({})
 
     by_task = dict(zip(tasks, results))
     reports = []

@@ -2,9 +2,10 @@
 
 report.json and models.json are emitted with sorted keys and floats at 17
 significant digits, so identical analyses produce identical bytes. A 1-D
-integer array, or a 1-D float array whose values are all finite, is
-written with one join (higher-dimensional arrays row by row); anything
-else, such as NaN or infinity (written as ``null``), goes value by value.
+or 2-D float array whose values are all finite is written with one
+format call, and a 1-D integer array with one join (other arrays row by
+row); anything else, such as NaN or infinity (written as ``null``), goes
+value by value.
 The per-feed CSVs (correlogram, trend, top words) carry a leading comment
 line embedding the tool version, seed and corpus hash that bind the
 output to its inputs. models.json stores per-fold dual coefficients and
@@ -56,13 +57,15 @@ def _serialize(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
+        if obj.ndim in (1, 2) and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            row = "[" + ",".join(["%.17g"] * obj.shape[-1]) + "]"
+            if obj.ndim == 2:
+                row = "[" + ",".join([row] * obj.shape[0]) + "]"
+            return row % tuple(obj.ravel().tolist())
         if obj.ndim > 1:
             return "[" + ",".join(_serialize(row) for row in obj) + "]"
         if obj.ndim == 1 and obj.dtype.kind in "iu":
             return "[" + ",".join(map(str, obj.tolist())) + "]"
-        if obj.ndim == 1 and obj.dtype.kind == "f" and np.isfinite(obj).all():
-            floats = ",".join(["%.17g"] * obj.size) % tuple(obj.tolist())
-            return "[" + floats + "]"
         return _serialize(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_serialize(v) for v in obj) + "]"

@@ -389,6 +389,22 @@ def test_malformed_corpus_is_a_named_error(analyzed, tmp_path, capsys, command):
                    f"be unique; repeated: ['X']\n")
 
 
+def test_analyze_names_a_bad_bin_width_in_meta(analyzed, tmp_path, capsys):
+    corpus_dir, _ = analyzed
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    meta = json.loads((corpus_dir / "meta.json").read_text())
+    meta["bin_hours"] = -1.0
+    (bad / "meta.json").write_text(json.dumps(meta))
+    (bad / "matrix.csv").write_bytes((corpus_dir / "matrix.csv").read_bytes())
+    capsys.readouterr()
+    assert run(["analyze", "--corpus", bad, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad corpus meta {bad / 'meta.json'}: bin_hours must be finite "
+        f"and positive, got -1.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_rejects_repeated_feed(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     run(["synth", "--mode", "toy", "--seed", 3, "--T", 400, "--out", corpus_dir])

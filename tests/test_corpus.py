@@ -349,6 +349,15 @@ def test_load_header_only_is_all_zero_without_warning(tmp_path, recwarn):
     ("T", "twelve", "invalid literal for int() with base 10: 'twelve'"),
     ("T", None, "int() argument must be a string"),
     ("bin_hours", "hourly", "could not convert string to float: 'hourly'"),
+    ("bin_hours", -1.0, "bin_hours must be finite and positive, got -1.0"),
+    ("bin_hours", 0, "bin_hours must be finite and positive, got 0"),
+    ("bin_hours", float("nan"), "bin_hours must be finite and positive, got nan"),
+    ("bin_hours", float("inf"), "bin_hours must be finite and positive, got inf"),
+    ("T", 12.7, "T must be a positive integer, got 12.7"),
+    ("T", -3, "T must be a positive integer, got -3"),
+    ("T", 0, "T must be a positive integer, got 0"),
+    ("T", "12", "T must be a positive integer, got '12'"),
+    ("T", float("inf"), "cannot convert float infinity to integer"),
 ])
 def test_load_names_bad_meta(tmp_path, key, value, problem):
     d = store_corpus(_random_corpus(), tmp_path / "c")

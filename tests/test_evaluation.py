@@ -1,4 +1,6 @@
 import copy
+import tracemalloc
+import weakref
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,6 +26,7 @@ from ctrend import (
     shuffle_control,
     solve_kcca,
 )
+from ctrend import evaluation
 from ctrend.corpus import Corpus, FeedSeries, Vocabulary
 from ctrend.evaluation import (
     FeedReport,
@@ -554,6 +557,73 @@ def test_analyze_feed_filter():
         analyze(c, SMALL_GRID, feed_ids=["Z"])
     with pytest.raises(DuplicateFeed, match="'X'"):
         analyze(c, SMALL_GRID, n_folds=5, n_inner=5, feed_ids=["X", "Y", "X"])
+
+
+# ---------------------------------------------------------------------------
+# one feed's working set at a time
+
+def _three_feed_run(monkeypatch):
+    """Analyze a 4-feed leader corpus with LSA and the shuffle control,
+    counting pool builds and the _FeedData objects alive at each build."""
+    alive = weakref.WeakSet()
+    alive_at_build = []
+    init = _FeedData.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+        alive_at_build.append(len(alive))
+
+    pools = []
+
+    def counted_pool(corpus, feed_id):
+        pools.append(feed_id)
+        return pool_excluding(corpus, feed_id)
+
+    monkeypatch.setattr(_FeedData, "__init__", tracked_init)
+    monkeypatch.setattr(evaluation, "pool_excluding", counted_pool)
+    c = generate_leader(LeaderConfig(F=4, W=6, T=300, seed=5))
+    analyze(c, HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=3, n_inner=3,
+            feed_ids=["leader", "follower1", "follower2"], with_lsa=True,
+            with_shuffle=True)
+    return alive_at_build, pools
+
+
+def test_analyze_holds_one_feed_data_at_a_time(monkeypatch):
+    alive_at_build, _ = _three_feed_run(monkeypatch)
+    # one cached build and one shuffle-control build per feed
+    assert len(alive_at_build) == 6
+    assert max(alive_at_build) == 1
+
+
+def test_analyze_pools_once_per_feed_and_shuffle_task(monkeypatch):
+    _, pools = _three_feed_run(monkeypatch)
+    assert pools == [f for f in ("leader", "follower1", "follower2")
+                     for _ in range(2)]
+
+
+def test_analyze_leaves_no_worker_state():
+    c = generate_toy(ToyConfig(T=300, seed=6))
+    analyze(c, HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=3, n_inner=3,
+            with_lsa=True, with_shuffle=True)
+    assert evaluation._FEED_CACHE == {}
+    assert evaluation._CTX == {}
+
+
+def _dual_route_peak(n_feeds):
+    """tracemalloc peak of analyze on a corpus with W * L >> n."""
+    rng = np.random.default_rng(7)
+    c = corpus_from([rng.random((300, 120)) for _ in range(n_feeds)])
+    tracemalloc.start()
+    try:
+        analyze(c, HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=3, n_inner=2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_peak_memory_does_not_grow_with_feed_count():
+    assert _dual_route_peak(6) < 1.5 * _dual_route_peak(2)
 
 
 # ---------------------------------------------------------------------------

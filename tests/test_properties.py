@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -136,6 +137,19 @@ _VALUES = st.recursive(
 @given(obj=_VALUES)
 def test_dumps_matches_value_by_value_writer(obj):
     assert dumps(obj) == json_text(obj) + "\n"
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[0.1, -0.0, 1e300, 5e-324]]),      # 1 x n
+    np.array([[1 / 3], [2.5], [-7.0]]),          # n x 1
+    np.zeros((0, 3)),
+    np.zeros((2, 0)),
+    np.array([[1.0, np.nan], [np.inf, 2.0]]),    # non-finite: value by value
+    np.arange(12.0).reshape(2, 3, 2) / 7,
+    np.float32([[0.1, 0.2], [0.3, 0.4]]),
+], ids=["1xn", "nx1", "0-row", "0-col", "nan", "3-d", "float32"])
+def test_dumps_writes_2d_arrays_as_value_by_value_writer(array):
+    assert dumps(array) == json_text(array) + "\n"
 
 
 # ---------------------------------------------------------------------------
