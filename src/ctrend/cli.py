@@ -21,6 +21,7 @@ from zoneinfo import ZoneInfo
 
 from . import __version__
 from .corpus import (
+    _fromisoformat,
     build_vocabulary,
     corpus_content_hash,
     featurize,
@@ -200,11 +201,12 @@ def _cmd_featurize(args, parser) -> int:
     if args.stopwords:
         with open(args.stopwords, encoding="utf-8") as fh:
             stopwords = frozenset(w.strip().lower() for w in fh if w.strip())
-    vocab = build_vocabulary(docs, stopwords, args.stem, args.min_df)
+    tokens: list[list[str]] = []
+    vocab = build_vocabulary(docs, stopwords, args.stem, args.min_df, tokens)
 
     if args.t0 is not None:
         try:
-            t0 = datetime.fromisoformat(args.t0.replace("Z", "+00:00"))
+            t0 = _fromisoformat(args.t0)
         except ValueError:
             parser.error(f"--t0 is not an RFC-3339 timestamp: {args.t0!r}")
         if t0.tzinfo is None:
@@ -220,8 +222,7 @@ def _cmd_featurize(args, parser) -> int:
         span = max(d.timestamp for d in docs) - t0
         T = int(span / bin_width) + 1
 
-    corpus = featurize(docs, vocab, t0, bin_width, T,
-                       stopwords=stopwords, stem=args.stem)
+    corpus = featurize(docs, vocab, t0, bin_width, T, tokens=tokens)
     if docs and corpus.n_dropped == len(docs):
         first = min(d.timestamp for d in docs)
         last = max(d.timestamp for d in docs)

@@ -179,15 +179,21 @@ def tokenize(text: str, stopwords: frozenset[str] | set[str] = frozenset(),
 
 def build_vocabulary(docs: Iterable[Document],
                      stopwords: frozenset[str] | set[str] = frozenset(),
-                     stem: bool = False, min_df: int = 1) -> Vocabulary:
+                     stem: bool = False, min_df: int = 1,
+                     tokens: list[list[str]] | None = None) -> Vocabulary:
     """Collect all tokens across documents into a sorted vocabulary.
 
     ``min_df`` keeps only terms appearing in at least that many documents.
-    Raises EmptyCorpus when nothing survives.
+    When ``tokens`` is a list, each document's token list is appended to
+    it in document order, for :func:`featurize` to count without
+    tokenizing again. Raises EmptyCorpus when nothing survives.
     """
     df: dict[str, int] = {}
     for doc in docs:
-        for term in set(tokenize(doc.text, stopwords, stem)):
+        doc_tokens = tokenize(doc.text, stopwords, stem)
+        if tokens is not None:
+            tokens.append(doc_tokens)
+        for term in set(doc_tokens):
             df[term] = df.get(term, 0) + 1
     terms = sorted(t for t, n in df.items() if n >= min_df)
     if not terms:
@@ -199,7 +205,8 @@ def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
               bin_width: timedelta = timedelta(hours=1), T: int = 0,
               feeds: Sequence[str] | None = None,
               stopwords: frozenset[str] | set[str] = frozenset(),
-              stem: bool = False) -> Corpus:
+              stem: bool = False,
+              tokens: Sequence[list[str]] | None = None) -> Corpus:
     """Count term occurrences into per-feed W x T matrices.
 
     Cell (w, t) of feed f is the number of occurrences of term w in
@@ -207,7 +214,11 @@ def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
     [t0, t0 + T*bin_width) are dropped and counted in ``Corpus.n_dropped``.
     Order of documents does not matter. When ``feeds`` is None the feed
     list is inferred from the documents (sorted); otherwise every
-    document's feed_id must be in ``feeds``.
+    document's feed_id must be in ``feeds``. ``tokens``, when given, holds
+    each document's token list in document order, as :func:`tokenize`
+    gives it with ``stopwords`` and ``stem`` (and as
+    :func:`build_vocabulary` collects it); the documents are then not
+    tokenized again.
     """
     if T <= 0:
         raise NoBins(f"need at least one time bin, got T={T}")
@@ -227,19 +238,22 @@ def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
         for d in docs:
             if d.feed_id not in known:
                 raise UnknownFeed(f"document feed {d.feed_id!r} has no feed slot")
+    if tokens is not None and len(tokens) != len(docs):
+        raise ValueError(f"tokens has {len(tokens)} lists for {len(docs)} documents")
     slot = {fid: i for i, fid in enumerate(feed_list)}
 
     W = len(vocab)
     rows: list[list[int]] = [[] for _ in feed_list]
     cols: list[list[int]] = [[] for _ in feed_list]
     dropped = 0
-    for d in docs:
+    for i, d in enumerate(docs):
         t = math.floor((d.timestamp - t0).total_seconds() / bin_seconds)
         if t < 0 or t >= T:
             dropped += 1
             continue
         fi = slot[d.feed_id]
-        for term in tokenize(d.text, stopwords, stem):
+        terms = tokenize(d.text, stopwords, stem) if tokens is None else tokens[i]
+        for term in terms:
             w = vocab.index.get(term)
             if w is not None:
                 rows[fi].append(w)
@@ -288,11 +302,23 @@ def tfidf_normalize(c: Corpus) -> Corpus:
 # ---------------------------------------------------------------------------
 # disk format
 
-def _parse_rfc3339(s: str) -> datetime:
+# seconds and their fraction in an ISO 8601 time
+_FRACTION_RE = re.compile(r"(\d{2}:\d{2}:\d{2})\.(\d+)")
+
+
+def _fromisoformat(s: str) -> datetime:
+    """``datetime.fromisoformat`` with a trailing "Z" as UTC and a seconds
+    fraction of any length, cut or padded to microseconds as Python 3.11
+    does; Python 3.10 accepts only 3 or 6 digits. Raises ValueError."""
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
+    s = _FRACTION_RE.sub(lambda m: f"{m[1]}.{m[2][:6]:0<6}", s, count=1)
+    return datetime.fromisoformat(s)
+
+
+def _parse_rfc3339(s: str) -> datetime:
     try:
-        dt = datetime.fromisoformat(s)
+        dt = _fromisoformat(s)
     except ValueError as e:
         raise FormatError(f"bad RFC-3339 timestamp {s!r}: {e}") from None
     if dt.tzinfo is None:

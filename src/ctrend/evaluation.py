@@ -7,8 +7,13 @@ training block a nested blocked CV picks the number of lags and the
 regularizer from a grid. Per fold the canonical pair is fit, the held-out
 correlation is recorded, and feeds are ranked by their mean fold score.
 
-Each feed is embedded once, with the largest lag; smaller lags are row
-blocks of it. The solver core is in :mod:`kcca`: the side factors, the
+No lag embedding is kept. A feed's lag-L embedding is read column by
+column from the raw feed (lag-L column j stacks raw columns j+trim-L ..
+j+trim-1), and it is the bottom row block of the lag-max embedding. The
+Gram matrices of the lags that can take the dual route are built first,
+from one transient lag-max embedding per feed, and the dual weight is
+recovered in row chunks, so no full copy of the training columns is made
+either. The solver core is in :mod:`kcca`: the side factors, the
 spectrum cut and the one canonical fit, which the final fold fit shares
 with ``solve_kcca``. Inner folds on the primal route (dense embedding no
 wider than the fold's training set) are scored in memory-bounded batches
@@ -17,7 +22,7 @@ one at a time on side factors (:func:`_score_fold_generic`).
 
 :func:`analyze` runs its tasks feed-major: each feed's outer folds, then
 its baseline and shuffle control. A process holds one feed's working set
-at a time (its pool, dense copies, lag-max embedding and Gram cache):
+at a time (its pool, dense copies of the feed and pool, and Grams):
 built at the feed's first task, dropped before the next feed's is built
 and when ``analyze`` returns. Peak memory is one working set whatever the
 number of feeds; ``jobs`` worker processes hold up to one each. All
@@ -66,6 +71,10 @@ from .kcca import (
 
 # dense conversion threshold for embedded matrices (elements)
 _DENSE_LIMIT = 4_000_000
+
+# rows of one chunk of the dual-route weight product: a multiple of the
+# row groups of BLAS gemv kernels, so chunking keeps every row's bits
+_CHUNK_ROWS = 1024
 
 # memory bound of one batch of the primal inner scorer (bytes): a batch of
 # c folds holds about 4c D x D matrices (scatter, the eigh input and output
@@ -157,6 +166,14 @@ def _as_dense_if_small(m):
     return m
 
 
+def _dense_embedding(x, lag: int, trim: int) -> bool:
+    """Whether the lag-``lag`` embedding of feed ``x`` is dense: when the
+    feed's copy is (:func:`_as_dense_if_small`) or the embedding is small."""
+    w, t = x.shape
+    return (not sp.issparse(x) or w * t <= _DENSE_LIMIT
+            or w * lag * (t - trim) <= _DENSE_LIMIT)
+
+
 @dataclass
 class FoldOutcome:
     """Everything the report needs from one (feed, fold) fit."""
@@ -173,32 +190,124 @@ class FoldOutcome:
     inner_scores: np.ndarray | None = field(default=None, repr=False)
 
 
+class _LagEmbedding:
+    """The lag-``lag`` embedding of a feed on the axis trimmed by ``trim``,
+    read from the raw feed and never stored: column j stacks the raw
+    columns j+trim-lag .. j+trim-1 top to bottom, so the bottom block is
+    lag 1. ``dense`` says whether the materialized embedding would be
+    dense under ``_DENSE_LIMIT``, which decides the primal route's
+    eligibility and how the dual weight is multiplied.
+    """
+
+    def __init__(self, x_raw, lag: int, trim: int, dense: bool):
+        self.x_raw, self.lag, self.trim, self.dense = x_raw, lag, trim, dense
+        self.shape = (x_raw.shape[0] * lag, x_raw.shape[1] - trim)
+
+    def rows(self, lo: int, hi: int, idx) -> np.ndarray:
+        """Rows lo:hi of columns ``idx``, dense and column-major, the
+        layout that fancy-indexing the columns of a matrix gives."""
+        idx = np.asarray(idx, dtype=int)
+        w = self.x_raw.shape[0]
+        out = np.empty((hi - lo, len(idx)), order="F")
+        for b in range(lo // w, -(-hi // w)):  # the lag blocks that lo:hi crosses
+            r0, r1 = max(lo, b * w), min(hi, (b + 1) * w)
+            sub = self.x_raw[r0 - b * w:r1 - b * w, idx + self.trim - self.lag + b]
+            out[r0 - lo:r1 - lo] = sub.toarray() if sp.issparse(sub) else sub
+        return out
+
+    def cols(self, idx) -> np.ndarray:
+        """All rows of columns ``idx``, as :meth:`rows` gives them."""
+        if sp.issparse(self.x_raw):
+            return self.rows(0, self.shape[0], idx)
+        # one gather, time-major: (columns, lag blocks, W), whose transpose
+        # is the column-major (W * lag, columns) block
+        src = np.asarray(idx, dtype=int) + self.trim - self.lag \
+            + np.arange(self.lag)[:, None]
+        taken = np.ascontiguousarray(self.x_raw.T[src.T], dtype=float)
+        return taken.reshape(src.shape[1], self.shape[0]).T
+
+    def cols_dot(self, idx, c: np.ndarray) -> np.ndarray:
+        """``[:, idx] @ c`` without the full copy of the columns: sparse
+        columns at once (each row sums in column order), dense ones in
+        chunks of ``_CHUNK_ROWS`` rows from the top, the last of at least
+        half that. gemv kernels work on small row groups, which these
+        chunks keep whole, so every row gets the full product's bits."""
+        idx = np.asarray(idx, dtype=int)
+        if not self.dense:
+            sub = sp.vstack([self.x_raw[:, idx + self.trim - self.lag + b]
+                             for b in range(self.lag)], format="csc")
+            return np.asarray(sub @ c).ravel()
+        d = self.shape[0]
+        bounds = [*range(0, max(d - _CHUNK_ROWS // 2, 1), _CHUNK_ROWS), d]
+        return np.concatenate([self.rows(lo, hi, idx) @ c
+                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def _lag_grams(x, trim: int, top: int, lags) -> dict:
+    """Full-axis Gram matrix of each lag in ``lags``, from one transient
+    lag-``top`` embedding of ``x``, each lag's being its bottom row block,
+    dense as :func:`_dense_embedding` says."""
+    if not lags:
+        return {}
+    emb_max = embed_columns(x[:, trim - top:], top)
+    if sp.issparse(emb_max) and _dense_embedding(x, top, trim):
+        emb_max = emb_max.toarray()
+    w = x.shape[0]
+    return {lag: linear_kernel(_as_dense_if_small(emb_max[w * (top - lag):]))
+            for lag in lags}
+
+
 class _FeedData:
     """Per-feed precomputed views shared by every fold and grid point.
 
-    One lag-max embedding on the axis trimmed by ``trim`` (at least the
-    largest lag); each lag's embedding is its row block ``lag_rows[lag]``,
-    densified when small. Full-axis Gram matrices are cached lazily.
+    ``emb[lag]`` is the lag's embedding on the axis trimmed by ``trim`` (at
+    least the largest lag), read column by column from the raw feed
+    (:class:`_LagEmbedding`); row block ``lag_rows[lag]`` of the lag-max
+    embedding. No embedding is kept. The Gram matrix of each lag wider
+    than ``min_train`` (the fewest training columns any fold will factor,
+    so the lags that can take the dual route) is built first, from one
+    transient lag-max embedding made from the caller's matrix before the
+    dense copies of the feed and pool exist; a lag whose Gram is asked for
+    later gets it the same way. The pool's Gram is cached lazily.
     """
 
-    def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int):
+    def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
+                 min_train: int = 2):
         if trim < grid.max_lag:
             raise SeriesTooShort(f"trim {trim} is below the largest lag "
                                  f"{grid.max_lag}; use trim >= {grid.max_lag}")
-        self.x_raw = _as_dense_if_small(x_raw)
-        self.pool_raw = _as_dense_if_small(pool_raw)
+        w, t = x_raw.shape
         self.trim = trim
         self.grid = grid
+        # a Gram needs two samples; no fold factors fewer
+        self._grams = _lag_grams(x_raw, trim, grid.max_lag,
+                                 [lag for lag in grid.lags
+                                  if w * lag > min_train and t - trim >= 2])
+        self.x_raw = _as_dense_if_small(x_raw)
+        self.pool_raw = _as_dense_if_small(pool_raw)
         self.pool_trim = self.pool_raw[:, trim:]
-        w, top = self.x_raw.shape[0], grid.max_lag
-        emb_max = _as_dense_if_small(embed_columns(self.x_raw[:, trim - top:], top))
-        # lag L is the last W * L rows of the lag-max one (lag -1 is at the bottom)
-        self.lag_rows = {lag: slice(w * (top - lag), w * top) for lag in grid.lags}
-        self.emb = {lag: _as_dense_if_small(emb_max[rows])
-                    for lag, rows in self.lag_rows.items()}
-        self.gram_x = {lag: functools.cache(functools.partial(linear_kernel, emb))
-                       for lag, emb in self.emb.items()}
+        self.emb = {lag: _LagEmbedding(self.x_raw, lag, trim,
+                                       _dense_embedding(x_raw, lag, trim))
+                    for lag in grid.lags}
+        # lag L is the last W * L rows of the lag-max one (lag 1 is at the bottom)
+        self.lag_rows = {lag: slice(w * (grid.max_lag - lag), w * grid.max_lag)
+                         for lag in grid.lags}
         self.gram_y = functools.cache(functools.partial(linear_kernel, self.pool_trim))
+
+    def gram_x(self, lag: int) -> np.ndarray:
+        """The lag's full-axis Gram matrix; one not built with the data is
+        built now, the same way."""
+        if lag not in self._grams:
+            self._grams.update(_lag_grams(self.x_raw, self.trim, self.grid.max_lag,
+                                          [lag]))
+        return self._grams[lag]
+
+
+def _fewest_train(outer_trains, n_inner: int, trim: int) -> int:
+    """Fewest training columns any fold factors: the smallest training set
+    of the inner plans over ``outer_trains``, which contain them."""
+    return min(len(f.train_indices) for train in outer_trains
+               for f in plan_folds(np.asarray(train, dtype=int), n_inner, trim).folds)
 
 
 def _pearson_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -228,7 +337,7 @@ def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
     scatters (folds, D, D).
     """
     axis = plan.axis
-    z = np.vstack((data.emb[data.grid.max_lag][:, axis],
+    z = np.vstack((data.emb[data.grid.max_lag].cols(axis),
                    _cols(data.pool_trim, axis)))
     folds = [plan.folds[i] for i in fold_ids]
     spans = []  # per fold: [test start, discard end) in axis positions
@@ -301,7 +410,7 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     tables = np.zeros((len(fold_ids), len(grid.lags), n_k))
     for f in live:
         test = plan.folds[fold_ids[f]].test_indices
-        x_te = data.emb[grid.max_lag][:, test] - means[f, :d_max, None]
+        x_te = data.emb[grid.max_lag].cols(test) - means[f, :d_max, None]
         y_te = _cols(data.pool_trim, test) - means[f, d_max:, None]
         u = w_x[f].reshape(-1, d_max) @ x_te
         v = w_y[f].reshape(-1, w_y.shape[-1]) @ y_te
@@ -320,7 +429,8 @@ def _score_fold_generic(data: _FeedData, train_idx, test_idx,
     prep_y = sy.prepare_cols(test_idx)
     for li, lag in enumerate(grid.lags):
         try:
-            sx = _SideFactor(data.emb[lag], train_idx, data.gram_x[lag])
+            sx = _SideFactor(data.emb[lag], train_idx,
+                             functools.partial(data.gram_x, lag))
         except DegenerateProjection:
             continue  # counts as zero for every kappa
         _, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy), kappas)
@@ -353,8 +463,7 @@ def _nested_select(data: _FeedData, train_positions, n_inner: int
     # primal when the embedding is dense and no wider than the fold's
     # training set; those folds are scored in batches of _BATCH_BYTES
     primal = [i for i, fold in enumerate(inner_plan.folds)
-              if isinstance(emb_max, np.ndarray)
-              and d_max <= len(fold.train_indices)]
+              if emb_max.dense and d_max <= len(fold.train_indices)]
     side = d_max + data.pool_trim.shape[0]
     size = max(1, _BATCH_BYTES // (4 * 8 * side * side))
     tables = {}
@@ -384,7 +493,8 @@ def nested_select(x_feed, pool, train_positions, grid: HyperGrid, trim: int,
     identical fold boundaries. Degenerate inner folds score zero rather
     than being dropped. Also returns the mean score table.
     """
-    data = _FeedData(x_feed, pool, grid, trim)
+    data = _FeedData(x_feed, pool, grid, trim,
+                     _fewest_train([train_positions], n_inner, trim))
     return _nested_select(data, train_positions, n_inner)
 
 
@@ -426,7 +536,8 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
                    n_inner: int) -> FoldOutcome:
     lag, kappa, inner_scores = _nested_select(data, fold.train_indices, n_inner)
     try:
-        sx = _SideFactor(data.emb[lag], fold.train_indices, data.gram_x[lag])
+        sx = _SideFactor(data.emb[lag], fold.train_indices,
+                         functools.partial(data.gram_x, lag))
         sy = _SideFactor(data.pool_trim, fold.train_indices, data.gram_y)
     except DegenerateProjection:
         return FoldOutcome(fold_index, lag, kappa, 0.0, True, None, None, None,
@@ -536,7 +647,8 @@ def shuffle_control(corpus: Corpus, feed_id: str, seed, grid: HyperGrid | None =
     pool = pool_excluding(corpus, feed_id).matrix
     trim = grid.max_lag
     plan = plan_folds(corpus.T - trim, n_folds, trim)
-    data = _FeedData(x_shuffled, pool, grid, trim)
+    data = _FeedData(x_shuffled, pool, grid, trim,
+                     _fewest_train([f.train_indices for f in plan.folds], n_inner, trim))
     return [_fit_feed_fold(data, fold, i, n_inner)
             for i, fold in enumerate(plan.folds)]
 
@@ -634,14 +746,15 @@ def _init_worker(context):
 
 
 def _feed_data(feed_id: str) -> _FeedData:
-    """The feed's working set: its pool, dense copies, lag-max embedding and
-    Gram cache. Another feed's is dropped before this one is built."""
+    """The feed's working set: its pool, dense copies of the feed and pool,
+    and Grams. Another feed's is dropped before this one is built."""
     if feed_id not in _FEED_CACHE:
         _FEED_CACHE.clear()
         corpus = _CTX["corpus"]
         _FEED_CACHE[feed_id] = _FeedData(corpus.feed(feed_id).matrix,
                                          pool_excluding(corpus, feed_id).matrix,
-                                         _CTX["grid"], _CTX["trim"])
+                                         _CTX["grid"], _CTX["trim"],
+                                         _CTX["min_train"])
     return _FEED_CACHE[feed_id]
 
 
@@ -783,6 +896,8 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
         "trim": trim,
         "n_folds": n_folds,
         "n_inner": n_inner,
+        "min_train": _fewest_train([f.train_indices for f in plan.folds],
+                                   n_inner, trim),
         "seed": seed,
     }
     # feed-major, so a process holds one feed's working set at a time

@@ -167,13 +167,24 @@ def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cols(m, idx) -> np.ndarray:
+    """Dense float columns ``idx`` of a matrix or of a column source (see
+    :class:`_SideFactor`)."""
+    if hasattr(m, "cols"):
+        return m.cols(idx)
     sub = m[:, idx]
     return sub.toarray() if sp.issparse(sub) else np.asarray(sub, dtype=float)
 
 
 class _SideFactor:
     """Centered, spectrally factored view of one side's training columns,
-    on the primal or the dual route (see the module docstring)."""
+    on the primal or the dual route (see the module docstring).
+
+    ``data_full`` is a d x n matrix, or a column source that never holds
+    the matrix: an object with ``shape``, ``cols(idx)`` (dense columns)
+    and ``cols_dot(idx, c)`` (``[:, idx] @ c``), such as the lag
+    embeddings of ``evaluation``. The dual route reads its columns only to
+    recover the primal weight and takes its Gram matrix from ``gram_fn``.
+    """
 
     def __init__(self, data_full, train_idx, gram_fn=None):
         self.data_full = data_full
@@ -214,8 +225,10 @@ class _SideFactor:
     def primal_weight(self, a: np.ndarray) -> np.ndarray:
         if self.primal:
             return self.basis @ (a * self.sigma)
-        w = self.data_full[:, self.train_idx] @ self.dual_coef(a)
-        return np.asarray(w).ravel()
+        c = self.dual_coef(a)
+        if hasattr(self.data_full, "cols_dot"):
+            return self.data_full.cols_dot(self.train_idx, c)
+        return np.asarray(self.data_full[:, self.train_idx] @ c).ravel()
 
     def prepare_cols(self, idx) -> np.ndarray:
         """Centered evaluation data for :meth:`project_batch`."""

@@ -146,9 +146,9 @@ def test_criterion_04_lambda_is_training_correlation(toy_runs):
                 model = outcome.model
                 if model is None:
                     continue
-                emb = data.emb[model.n_lags]
                 tr = model.train_indices
-                ac = emb[:, tr] - emb[:, tr].mean(axis=1, keepdims=True)
+                emb = data.emb[model.n_lags].cols(tr)
+                ac = emb - emb.mean(axis=1, keepdims=True)
                 yc = data.pool_trim[:, tr] \
                     - data.pool_trim[:, tr].mean(axis=1, keepdims=True)
                 u = ac.T @ (ac @ model.alpha)  # alpha' Kc, kernel applied assoc.
@@ -265,7 +265,7 @@ def test_criterion_10_bounds_and_monotonicity(toy_runs):
     data = _FeedData(corpus.feed("X").matrix,
                      pool_excluding(corpus, "X").matrix, grid, grid.max_lag)
     tr = runs[42].plan.folds[0].train_indices
-    kx, _ = center_kernel(linear_kernel(data.emb[5][:, tr]))
+    kx, _ = center_kernel(linear_kernel(data.emb[5].cols(tr)))
     ky, _ = center_kernel(linear_kernel(data.pool_trim[:, tr]))
     monotone = True
     prev_eig, prev_lam = np.inf, np.inf

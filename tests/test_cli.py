@@ -435,6 +435,21 @@ def test_analyze_lsa_on_one_term_corpus(tmp_path):
     assert all(len(f["lsa_fold_scores"]) == 4 for f in report["feeds"])
 
 
+@pytest.mark.parametrize("t0", ["2011-10-01T00:00:00.5Z",
+                                "2011-10-01T00:00:00.1234567+00:00",
+                                "2011-10-01T00:00:00.123456789+00:00"])
+def test_featurize_t0_with_seconds_fraction(tmp_path, t0):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"feed": "a", "timestamp": "2011-10-01T00:30:00.5+00:00", '
+                    '"text": "ash"}\n')
+    out = tmp_path / "corpus"
+    assert run(["featurize", "--docs", docs, "--out", out, "--no-stem",
+                "--no-tfidf", "--t0", t0, "--T", 2]) == 0
+    c = load_corpus(out)
+    assert c.t0.microsecond in (500000, 123456)
+    assert c.feed("a").matrix[0, 0] == 1.0
+
+
 def test_featurize_reference_timezone(tmp_path):
     # naive --t0 is interpreted in the reference timezone; documents carry
     # their own offsets, so the same instants land in the same bins

@@ -154,6 +154,20 @@ def test_featurize_permutation_invariant():
         assert a == b
 
 
+def test_featurize_counts_the_token_lists_build_vocabulary_collects():
+    docs = [doc("a", 0, "Ash clouds, ash"), doc("b", 70, "the cloud"),
+            doc("a", 200, "planes grounded"), doc("b", -5, "early ash")]
+    stop = frozenset({"the"})
+    tokens = []
+    v = build_vocabulary(docs, stop, stem=True, tokens=tokens)
+    assert tokens == [tokenize(d.text, stop, True) for d in docs]
+    once = featurize(docs, v, T0, HOUR, T=4, tokens=tokens)
+    assert once == featurize(docs, v, T0, HOUR, T=4, stopwords=stop, stem=True)
+    assert once.n_dropped == 1
+    with pytest.raises(ValueError, match="3 lists for 4 documents"):
+        featurize(docs, v, T0, HOUR, T=4, tokens=tokens[:3])
+
+
 # ---------------------------------------------------------------------------
 # tfidf
 
@@ -415,6 +429,19 @@ def test_read_documents_jsonl(tmp_path):
     assert [d.feed_id for d in docs] == ["a", "b"]
     assert docs[0].timestamp == T0 + timedelta(minutes=30)
     assert docs[1].timestamp == T0  # +02:00 offset cancels the 2h
+
+
+@pytest.mark.parametrize("fraction, micros", [
+    (".5", 500000), (".1234567", 123456), (".123456789", 123456),
+    (".000001", 1)])
+def test_read_documents_jsonl_seconds_fraction(tmp_path, fraction, micros):
+    """Any fraction length is cut or padded to microseconds, as Python 3.11
+    reads it; 3.10's fromisoformat alone takes only 3 or 6 digits."""
+    p = tmp_path / "docs.jsonl"
+    p.write_text('{"feed": "a", "timestamp": "2011-10-01T05:30:00%s+00:00", '
+                 '"text": "ash"}\n' % fraction)
+    [d] = read_documents_jsonl(p)
+    assert d.timestamp == T0 + timedelta(hours=5, minutes=30, microseconds=micros)
 
 
 def test_read_documents_jsonl_reports_line(tmp_path):

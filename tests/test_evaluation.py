@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 import weakref
 from datetime import datetime, timezone
@@ -28,6 +27,7 @@ from ctrend import (
 )
 from ctrend import evaluation
 from ctrend.corpus import Corpus, FeedSeries, Vocabulary
+from ctrend.embedding import embed_columns
 from ctrend.evaluation import (
     FeedReport,
     _FeedData,
@@ -242,7 +242,7 @@ def test_correlation_via_kernel_blocks_matches_fold():
     fold = plan.folds[1]
     data = _FeedData(c.feed("X").matrix, pool, grid, 3)
     out = _fit_feed_fold(data, fold, 1, 5)
-    emb, pool_trim = data.emb[3], data.pool_trim
+    emb, pool_trim = data.emb[3].cols(np.arange(c.T - 3)), data.pool_trim
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
@@ -272,7 +272,8 @@ def test_fold_fit_dual_route_matches_kernel_solve():
     assert 40 * 2 > len(fold.train_indices)  # forces the dual route
     data = _FeedData(c.feed("f0").matrix, pool, grid, 2)
     out = _fit_feed_fold(data, fold, 1, 4)
-    emb, pool_trim = np.asarray(data.emb[2]), np.asarray(data.pool_trim)
+    emb = data.emb[2].cols(np.arange(c.T - 2))
+    pool_trim = np.asarray(data.pool_trim)
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
@@ -535,10 +536,24 @@ def test_analyze_requires_two_feeds():
         analyze(c, SMALL_GRID, n_folds=4, n_inner=4)
 
 
+def _sparse_dual_corpus(seed, n_feeds=3, w=100, t=80):
+    """Sparse feeds with W * L > n on every fold, so Grams are built in
+    each worker's _FeedData and every fold takes the dual route."""
+    rng = np.random.default_rng(seed)
+    latent = rng.standard_normal(t + 1)
+    mats = []
+    for shift in (1,) + (0,) * (n_feeds - 1):
+        load = rng.standard_normal(w)[:, None] * (rng.random((w, 1)) < 0.2)
+        noise = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.05)
+        mats.append(load * latent[shift:shift + t][None, :] + noise)
+    return corpus_from(mats)
+
+
 @pytest.mark.parametrize("make", [
     lambda: generate_toy(ToyConfig(T=500, seed=21)),
     lambda: generate_leader(LeaderConfig(F=4, W=8, T=400, seed=21)),
-], ids=["toy", "leader"])
+    lambda: _sparse_dual_corpus(21),
+], ids=["toy", "leader", "dual"])
 def test_analyze_parallel_matches_serial(make):
     c = make()
     kw = dict(grid=SMALL_GRID, n_folds=5, n_inner=5, seed=21,
@@ -830,14 +845,19 @@ def test_nested_select_splits_primal_folds_into_bounded_batches(monkeypatch):
 def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
     c = generate_toy(ToyConfig(T=600, seed=4))
     grid = SMALL_GRID
-    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
-                     grid, grid.max_lag)
+    top = trim = grid.max_lag
+    x = c.feed("X").matrix.toarray()
+    pool = pool_excluding(c, "X").matrix.toarray()
+    data = _FeedData(x, pool, grid, trim)
     plan = _inner_plan(data, 5, 5, outer=3)
     ids = list(range(len(plan.folds)))
     means, scatter = _fold_moments(data, plan, ids)
-    emb = data.emb[grid.max_lag]
-    z = np.vstack((emb, data.pool_trim))
+    z = np.vstack((embed_columns(x, top)[:, trim - top:], pool[:, trim:]))
     rng = np.random.default_rng(10)
+
+    def raw_times(cols):  # raw feed columns that lag-max columns read
+        return {j + trim - top + b for j in cols for b in range(top)}
+
     for f, fold in enumerate(plan.folds):
         zt = z[:, fold.train_indices]
         mu = zt.mean(axis=1)
@@ -845,17 +865,98 @@ def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
         assert np.abs(means[f] - mu).max() <= 1e-12 * np.abs(mu).max()
         assert np.abs(scatter[f] - direct).max() <= 1e-12 * np.abs(direct).max()
 
+        # corrupt the raw feed where only held-out columns read it, and
+        # the raw pool at the held-out times
         held = np.concatenate([fold.test_indices, fold.discarded_indices])
-        noisy = copy.copy(data)
-        noisy.emb = dict(data.emb)
-        noisy.emb[grid.max_lag] = emb.copy()
-        noisy.emb[grid.max_lag][:, held] = 1e3 * rng.standard_normal(
-            (emb.shape[0], len(held)))
-        noisy.pool_trim = data.pool_trim.copy()
-        noisy.pool_trim[:, held] = -7.0
-        means2, scatter2 = _fold_moments(noisy, plan, ids)
+        only_held = sorted(raw_times(held) - raw_times(fold.train_indices))
+        assert only_held
+        x2, pool2 = x.copy(), pool.copy()
+        x2[:, only_held] = 1e3 * rng.standard_normal((x.shape[0], len(only_held)))
+        pool2[:, held + trim] = -7.0
+        means2, scatter2 = _fold_moments(_FeedData(x2, pool2, grid, trim), plan, ids)
         assert np.array_equal(means2[f], means[f])
         assert np.array_equal(scatter2[f], scatter[f])
+
+
+# ---------------------------------------------------------------------------
+# lag embeddings read from the raw feed
+
+def _dual_feed(w=300, t=120, seed=7):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.3)
+    return sp.csc_matrix(x), sp.csc_matrix(rng.random((w, t)))
+
+
+def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
+    """W = 1003 is not a multiple of 4, and the first 1024-row chunk of the
+    lag-3 embedding straddles lag blocks 0 and 1."""
+    rng = np.random.default_rng(11)
+    w, t, lag = 1003, 160, 3
+    x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.1)
+    idx = np.sort(rng.choice(t - lag, 120, replace=False))
+    c = rng.standard_normal(len(idx))
+    full = embed_columns(x, lag)[:, idx]
+    grid = HyperGrid(lags=(lag,), kappas=(1.0,))
+    for x_in in (x, sp.csc_matrix(x)):
+        emb = _FeedData(x_in, x_in, grid, lag).emb[lag]
+        assert emb.dense
+        assert np.array_equal(emb.cols_dot(idx, c), full @ c)
+    # sparse columns, multiplied at once
+    monkeypatch.setattr(evaluation, "_DENSE_LIMIT", 0)
+    emb = _FeedData(sp.csc_matrix(x), x, grid, lag).emb[lag]
+    assert not emb.dense
+    sparse_full = embed_columns(sp.csc_matrix(x), lag)[:, idx]
+    assert np.array_equal(emb.cols_dot(idx, c), sparse_full @ c)
+
+
+@pytest.mark.parametrize("chunk", [4, 8, 12, 64])
+def test_dual_weight_small_chunks_straddle_lag_blocks(monkeypatch, chunk):
+    rng = np.random.default_rng(chunk)
+    w, t, lag = 7, 40, 3
+    x = rng.standard_normal((w, t))
+    idx = np.arange(5, 30)
+    c = rng.standard_normal(len(idx))
+    emb = _FeedData(x, x, HyperGrid(lags=(lag,), kappas=(1.0,)), lag).emb[lag]
+    monkeypatch.setattr(evaluation, "_CHUNK_ROWS", chunk)
+    assert np.array_equal(emb.cols_dot(idx, c), embed_columns(x, lag)[:, idx] @ c)
+
+
+def test_leader_shaped_feed_builds_no_gram(monkeypatch):
+    embeds = []
+
+    def counted(x, n_lags, _fn=evaluation.embed_columns):
+        embeds.append(n_lags)
+        return _fn(x, n_lags)
+
+    monkeypatch.setattr(evaluation, "embed_columns", counted)
+    c = generate_leader(LeaderConfig(F=4, W=6, T=300, seed=5))
+    grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
+    plan = plan_folds(c.T - 3, 3, 3)
+    data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader").matrix,
+                     grid, 3, evaluation._fewest_train(
+                         [f.train_indices for f in plan.folds], 3, 3))
+    assert data._grams == {}
+    analyze(c, grid, n_folds=3, n_inner=3, with_lsa=True, with_shuffle=True)
+    assert embeds == []
+    # a dual corpus embeds once per analysed feed and per shuffle control
+    d = _sparse_dual_corpus(3)
+    analyze(d, grid, n_folds=3, n_inner=2, feed_ids=["f0", "f1"],
+            with_shuffle=True)
+    assert embeds == [3] * 4
+
+
+def test_dual_feed_keeps_no_array_as_large_as_the_lag_max_embedding():
+    x, pool = _dual_feed()
+    grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
+    emb_bytes = 8 * x.shape[0] * 3 * (x.shape[1] - 3)
+    tracemalloc.start()
+    try:
+        data = _FeedData(x, pool, grid, 3, 80)
+        biggest = max(tr.size for tr in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert sorted(data._grams) == [1, 2, 3]
+    assert biggest < emb_bytes / 2
 
 
 @pytest.mark.parametrize("d", [12, 36, 72])

@@ -42,27 +42,58 @@ def feed_cases(draw):
     return x, pool, HyperGrid(lags=lags, kappas=(1.0,)), trim, limit
 
 
+def _materialized(x_in, grid, trim):
+    """The lag embeddings as a resident lag-max embedding held them: each
+    lag is a row block of it, densified by ``_DENSE_LIMIT``."""
+    x = evaluation._as_dense_if_small(x_in)
+    top = grid.max_lag
+    emb_max = evaluation._as_dense_if_small(embed_columns(x[:, trim - top:], top))
+    return {lag: evaluation._as_dense_if_small(emb_max[x.shape[0] * (top - lag):])
+            for lag in grid.lags}
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(case=feed_cases(), sparse_input=st.booleans())
-def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input):
+@given(case=feed_cases(), sparse_input=st.booleans(), picks=st.data())
+def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
+    """Columns gathered from the raw feed equal the lag-max embedding's
+    row block, with the layout its fancy-indexed columns had."""
     x, pool, grid, trim, limit = case
     x_in = sp.csc_matrix(x) if sparse_input else x
     w, t = x.shape
+    idx = np.asarray(picks.draw(st.lists(st.integers(0, t - trim - 1),
+                                         min_size=1, max_size=t - trim)))
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
         data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim)
+        old = _materialized(x_in, grid, trim)
     for lag in grid.lags:
-        got = data.emb[lag]
+        emb = data.emb[lag]
         ref = embed_columns(x_in, lag)[:, trim - lag:]
         sparse = sparse_input and w * t > limit and w * lag * (t - trim) > limit
-        assert sp.issparse(got) == sparse
-        assert got.shape == ref.shape
-        dense_got = got.toarray() if sp.issparse(got) else got
-        dense_ref = ref.toarray() if sp.issparse(ref) else ref
-        assert np.array_equal(dense_got, dense_ref)
-    emb_max = data.emb[grid.max_lag]
-    if isinstance(emb_max, np.ndarray):
+        assert emb.dense != sparse
+        assert sp.issparse(old[lag]) == sparse
+        assert emb.shape == ref.shape
+        got = emb.cols(idx)
+        want = ref[:, idx]
+        want = want.toarray() if sp.issparse(want) else want
+        assert np.array_equal(got, want)
+        was = old[lag][:, idx]
+        was = was.toarray() if sp.issparse(was) else was
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+            (was.flags.c_contiguous, was.flags.f_contiguous)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=feed_cases(), sparse_input=st.booleans())
+def test_dual_gram_is_kernel_of_materialized_row_block(case, sparse_input):
+    x, pool, grid, trim, limit = case
+    x_in = sp.csc_matrix(x) if sparse_input else x
+    if x.shape[1] - trim < 2:
+        return  # a Gram needs two samples
+    with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
+        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim)
+        old = _materialized(x_in, grid, trim)
         for lag in grid.lags:
-            assert np.shares_memory(data.emb[lag], emb_max)
+            assert np.array_equal(data.gram_x(lag), linear_kernel(old[lag]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +272,7 @@ def test_fit_eigenvalue_matches_kernel_solve_and_oracle(case):
     data = _FeedData(x, pool, grid, 1)
     out = _fit_feed_fold(data, fold, 0, 2)
     assert (out.n_lags, out.kappa) == (1, kappa)
-    emb = data.emb[1][:, fold.train_indices]
+    emb = data.emb[1].cols(fold.train_indices)
     kx, _ = center_kernel(linear_kernel(emb))
     ky, _ = center_kernel(linear_kernel(data.pool_trim[:, fold.train_indices]))
     reference = generalized_eig_top(kx, ky, kappa)
