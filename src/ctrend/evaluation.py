@@ -72,10 +72,6 @@ from .kcca import (
 # dense conversion threshold for embedded matrices (elements)
 _DENSE_LIMIT = 4_000_000
 
-# rows of one chunk of the dual-route weight product: a multiple of the
-# row groups of BLAS gemv kernels, so chunking keeps every row's bits
-_CHUNK_ROWS = 1024
-
 # memory bound of one batch of the primal inner scorer (bytes): a batch of
 # c folds holds about 4c D x D matrices (scatter, the eigh input and output
 # and the previous lag's basis), D = lag-max embedding + pool dimension
@@ -196,57 +192,39 @@ class _LagEmbedding:
     columns j+trim-lag .. j+trim-1 top to bottom, so the bottom block is
     lag 1. ``dense`` says whether the materialized embedding would be
     dense under ``_DENSE_LIMIT``, which decides the primal route's
-    eligibility and how the dual weight is multiplied.
+    eligibility and the format of :meth:`rows`.
     """
 
     def __init__(self, x_raw, lag: int, trim: int, dense: bool):
         self.x_raw, self.lag, self.trim, self.dense = x_raw, lag, trim, dense
         self.shape = (x_raw.shape[0] * lag, x_raw.shape[1] - trim)
 
-    def rows(self, lo: int, hi: int, idx) -> np.ndarray:
-        """Rows lo:hi of columns ``idx``, dense and column-major, the
-        layout that fancy-indexing the columns of a matrix gives."""
+    def rows(self, lo: int, hi: int, idx):
+        """Rows lo:hi of columns ``idx``: sparse (csc) where the embedding
+        is, else dense and column-major, the layout that fancy-indexing
+        the columns of a matrix gives."""
         idx = np.asarray(idx, dtype=int)
         w = self.x_raw.shape[0]
-        out = np.empty((hi - lo, len(idx)), order="F")
-        for b in range(lo // w, -(-hi // w)):  # the lag blocks that lo:hi crosses
-            r0, r1 = max(lo, b * w), min(hi, (b + 1) * w)
-            sub = self.x_raw[r0 - b * w:r1 - b * w, idx + self.trim - self.lag + b]
-            out[r0 - lo:r1 - lo] = sub.toarray() if sp.issparse(sub) else sub
-        return out
-
-    def cols(self, idx) -> np.ndarray:
-        """All rows of columns ``idx``, as :meth:`rows` gives them."""
-        if sp.issparse(self.x_raw):
-            return self.rows(0, self.shape[0], idx)
-        # one gather, time-major: (columns, lag blocks, W), whose transpose
-        # is the column-major (W * lag, columns) block
-        src = np.asarray(idx, dtype=int) + self.trim - self.lag \
-            + np.arange(self.lag)[:, None]
-        taken = np.ascontiguousarray(self.x_raw.T[src.T], dtype=float)
-        return taken.reshape(src.shape[1], self.shape[0]).T
-
-    def cols_dot(self, idx, c: np.ndarray) -> np.ndarray:
-        """``[:, idx] @ c`` without the full copy of the columns: sparse
-        columns at once (each row sums in column order), dense ones in
-        chunks of ``_CHUNK_ROWS`` rows from the top, the last of at least
-        half that. gemv kernels work on small row groups, which these
-        chunks keep whole, so every row gets the full product's bits."""
-        idx = np.asarray(idx, dtype=int)
+        blocks = (self.x_raw[max(lo, b * w) - b * w:min(hi, (b + 1) * w) - b * w,
+                             idx + self.trim - self.lag + b]
+                  for b in range(lo // w, -(-hi // w)))  # the lag blocks lo:hi crosses
         if not self.dense:
-            sub = sp.vstack([self.x_raw[:, idx + self.trim - self.lag + b]
-                             for b in range(self.lag)], format="csc")
-            return np.asarray(sub @ c).ravel()
-        d = self.shape[0]
-        bounds = [*range(0, max(d - _CHUNK_ROWS // 2, 1), _CHUNK_ROWS), d]
-        return np.concatenate([self.rows(lo, hi, idx) @ c
-                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+            return sp.vstack(list(blocks), format="csc")
+        out = np.empty((hi - lo, len(idx)), order="F")
+        r = 0
+        for sub in blocks:
+            out[r:r + sub.shape[0]] = sub.toarray() if sp.issparse(sub) else sub
+            r += sub.shape[0]
+        return out
 
 
 def _lag_grams(x, trim: int, top: int, lags) -> dict:
     """Full-axis Gram matrix of each lag in ``lags``, from one transient
     lag-``top`` embedding of ``x``, each lag's being its bottom row block,
-    dense as :func:`_dense_embedding` says."""
+    dense as :func:`_dense_embedding` says. Densifying the csc embedding
+    of a csc feed gives the column-major layout that stacking the feed's
+    dense copy gives (``np.vstack`` keeps its inputs' order), so the Grams
+    see the same layout whichever is densified first."""
     if not lags:
         return {}
     emb_max = embed_columns(x[:, trim - top:], top)
@@ -268,11 +246,12 @@ class _FeedData:
     so the lags that can take the dual route) is built first, from one
     transient lag-max embedding made from the caller's matrix before the
     dense copies of the feed and pool exist; a lag whose Gram is asked for
-    later gets it the same way. The pool's Gram is cached lazily.
+    later gets it from the feed's copy, with the same values and layout.
+    The pool's Gram is cached lazily.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
-                 min_train: int = 2):
+                 min_train: int):
         if trim < grid.max_lag:
             raise SeriesTooShort(f"trim {trim} is below the largest lag "
                                  f"{grid.max_lag}; use trim >= {grid.max_lag}")
@@ -296,7 +275,7 @@ class _FeedData:
 
     def gram_x(self, lag: int) -> np.ndarray:
         """The lag's full-axis Gram matrix; one not built with the data is
-        built now, the same way."""
+        built now from the feed's copy (:func:`_lag_grams`)."""
         if lag not in self._grams:
             self._grams.update(_lag_grams(self.x_raw, self.trim, self.grid.max_lag,
                                           [lag]))
@@ -337,7 +316,7 @@ def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
     scatters (folds, D, D).
     """
     axis = plan.axis
-    z = np.vstack((data.emb[data.grid.max_lag].cols(axis),
+    z = np.vstack((_cols(data.emb[data.grid.max_lag], axis),
                    _cols(data.pool_trim, axis)))
     folds = [plan.folds[i] for i in fold_ids]
     spans = []  # per fold: [test start, discard end) in axis positions
@@ -410,7 +389,7 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     tables = np.zeros((len(fold_ids), len(grid.lags), n_k))
     for f in live:
         test = plan.folds[fold_ids[f]].test_indices
-        x_te = data.emb[grid.max_lag].cols(test) - means[f, :d_max, None]
+        x_te = _cols(data.emb[grid.max_lag], test) - means[f, :d_max, None]
         y_te = _cols(data.pool_trim, test) - means[f, d_max:, None]
         u = w_x[f].reshape(-1, d_max) @ x_te
         v = w_y[f].reshape(-1, w_y.shape[-1]) @ y_te

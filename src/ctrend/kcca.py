@@ -48,6 +48,10 @@ KAPPA_FLOOR = 1e-8
 # relative eigenvalue cutoff separating kernel range from numerical null space
 RANK_RTOL = 1e-12
 
+# rows of one chunk of the dual-route weight product (:func:`_cols_dot`):
+# a multiple of 4, the row group of the OpenBLAS dgemv kernel
+_CHUNK_ROWS = 1024
+
 
 def pearson_correlation(u: np.ndarray, v: np.ndarray) -> float:
     """Pearson correlation, clamped to [-1, 1] against floating point spill.
@@ -166,13 +170,33 @@ def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta[:rank].copy(), np.array(u[:, :rank], order="F")
 
 
+def _rows(m, lo: int, hi: int, idx):
+    """Rows lo:hi of columns ``idx`` of a matrix or of a column source (see
+    :class:`_SideFactor`), sparse where the source is."""
+    if hasattr(m, "rows"):
+        return m.rows(lo, hi, idx)
+    return (m[lo:hi] if hi - lo < m.shape[0] else m)[:, idx]
+
+
 def _cols(m, idx) -> np.ndarray:
-    """Dense float columns ``idx`` of a matrix or of a column source (see
-    :class:`_SideFactor`)."""
-    if hasattr(m, "cols"):
-        return m.cols(idx)
-    sub = m[:, idx]
+    """Dense float columns ``idx`` of a matrix or of a column source."""
+    sub = _rows(m, 0, m.shape[0], idx)
     return sub.toarray() if sp.issparse(sub) else np.asarray(sub, dtype=float)
+
+
+def _cols_dot(m, idx, c: np.ndarray) -> np.ndarray:
+    """``m[:, idx] @ c`` without a copy of all the columns: in chunks of
+    ``_CHUNK_ROWS`` rows from the top, the last of at least half that.
+    A sparse row sums in column order however its rows are cut; the
+    OpenBLAS dgemv kernel works on groups of 4 rows, which the chunks keep
+    whole. With single-threaded OpenBLAS every row then has the full
+    product's bits: checked on the benchmark seeds, guarded by the chunk
+    tests."""
+    idx = np.asarray(idx, dtype=int)
+    d = m.shape[0]
+    bounds = [*range(0, max(d - _CHUNK_ROWS // 2, 1), _CHUNK_ROWS), d]
+    return np.concatenate([np.asarray(_rows(m, lo, hi, idx) @ c).ravel()
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 class _SideFactor:
@@ -180,10 +204,11 @@ class _SideFactor:
     on the primal or the dual route (see the module docstring).
 
     ``data_full`` is a d x n matrix, or a column source that never holds
-    the matrix: an object with ``shape``, ``cols(idx)`` (dense columns)
-    and ``cols_dot(idx, c)`` (``[:, idx] @ c``), such as the lag
-    embeddings of ``evaluation``. The dual route reads its columns only to
-    recover the primal weight and takes its Gram matrix from ``gram_fn``.
+    the matrix: an object with ``shape`` and ``rows(lo, hi, idx)`` (rows
+    lo:hi of columns ``idx``, as slicing a matrix gives them), such as the
+    lag embeddings of ``evaluation``. The dual route reads its columns
+    only to recover the primal weight (:func:`_cols_dot`) and takes its
+    Gram matrix from ``gram_fn``.
     """
 
     def __init__(self, data_full, train_idx, gram_fn=None):
@@ -225,10 +250,7 @@ class _SideFactor:
     def primal_weight(self, a: np.ndarray) -> np.ndarray:
         if self.primal:
             return self.basis @ (a * self.sigma)
-        c = self.dual_coef(a)
-        if hasattr(self.data_full, "cols_dot"):
-            return self.data_full.cols_dot(self.train_idx, c)
-        return np.asarray(self.data_full[:, self.train_idx] @ c).ravel()
+        return _cols_dot(self.data_full, self.train_idx, self.dual_coef(a))
 
     def prepare_cols(self, idx) -> np.ndarray:
         """Centered evaluation data for :meth:`project_batch`."""

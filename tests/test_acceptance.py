@@ -25,7 +25,14 @@ from ctrend import (
 )
 from ctrend.cli import main as cli_main
 from ctrend.corpus import Corpus, FeedSeries
-from ctrend.evaluation import _FeedData, _fit_feed_fold, derive_seed, shuffle_control
+from ctrend.evaluation import (
+    _FeedData,
+    _fewest_train,
+    _fit_feed_fold,
+    derive_seed,
+    shuffle_control,
+)
+from ctrend.kcca import _cols
 from oracles import input_space_cca
 
 import scipy.sparse as sp
@@ -141,13 +148,15 @@ def test_criterion_04_lambda_is_training_correlation(toy_runs):
         for feed_id in ("X", "Y"):
             data = _FeedData(corpus.feed(feed_id).matrix,
                              pool_excluding(corpus, feed_id).matrix,
-                             run.grid, run.trim)
+                             run.grid, run.trim,
+                             _fewest_train([f.train_indices for f in run.plan.folds],
+                                           run.n_inner, run.trim))
             for outcome in run.fold_outcomes[feed_id]:
                 model = outcome.model
                 if model is None:
                     continue
                 tr = model.train_indices
-                emb = data.emb[model.n_lags].cols(tr)
+                emb = _cols(data.emb[model.n_lags], tr)
                 ac = emb - emb.mean(axis=1, keepdims=True)
                 yc = data.pool_trim[:, tr] \
                     - data.pool_trim[:, tr].mean(axis=1, keepdims=True)
@@ -217,7 +226,9 @@ def test_criterion_08_leak_freedom(toy_runs):
             base = run.fold_outcomes[feed_id][fold_i].model
             data = _FeedData(corrupted.feed(feed_id).matrix,
                              pool_excluding(corrupted, feed_id).matrix,
-                             run.grid, run.trim)
+                             run.grid, run.trim,
+                             _fewest_train([fold.train_indices], run.n_inner,
+                                           run.trim))
             redo = _fit_feed_fold(data, fold, fold_i, run.n_inner).model
             if (np.array_equal(base.alpha, redo.alpha)
                     and np.array_equal(base.beta, redo.beta)
@@ -262,10 +273,11 @@ def test_criterion_10_bounds_and_monotonicity(toy_runs):
 
     corpus = generate_toy(ToyConfig(seed=42))
     grid = HyperGrid()
-    data = _FeedData(corpus.feed("X").matrix,
-                     pool_excluding(corpus, "X").matrix, grid, grid.max_lag)
     tr = runs[42].plan.folds[0].train_indices
-    kx, _ = center_kernel(linear_kernel(data.emb[5].cols(tr)))
+    data = _FeedData(corpus.feed("X").matrix,
+                     pool_excluding(corpus, "X").matrix, grid, grid.max_lag,
+                     _fewest_train([tr], runs[42].n_inner, grid.max_lag))
+    kx, _ = center_kernel(linear_kernel(_cols(data.emb[5], tr)))
     ky, _ = center_kernel(linear_kernel(data.pool_trim[:, tr]))
     monotone = True
     prev_eig, prev_lam = np.inf, np.inf

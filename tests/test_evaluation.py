@@ -32,6 +32,7 @@ from ctrend.evaluation import (
     FeedReport,
     _FeedData,
     _batched_eigenbases,
+    _fewest_train,
     _fit_feed_fold,
     _fold_moments,
     _nested_select,
@@ -52,7 +53,14 @@ from ctrend.exceptions import (
     TooShortForFolds,
     UnknownFeed,
 )
-from ctrend.kcca import _psd_eigenbasis, center_cross, center_kernel, linear_kernel
+from ctrend.kcca import (
+    _cols,
+    _cols_dot,
+    _psd_eigenbasis,
+    center_cross,
+    center_kernel,
+    linear_kernel,
+)
 from ctrend.reporting import build_models, build_report, dumps
 from ctrend.synth import LeaderConfig, generate_leader
 from oracles import brute_lagged_pearson, power_iteration_top
@@ -219,11 +227,18 @@ def test_nested_select_too_short():
 # ---------------------------------------------------------------------------
 # test correlation and route consistency
 
+def _fold_data(x, pool, grid, trim, fold, n_inner):
+    """The feed data nested selection builds for ``fold``'s training block."""
+    return _FeedData(x, pool, grid, trim,
+                     _fewest_train([fold.train_indices], n_inner, trim))
+
+
 def test_correlation_noiseless_limit():
     c = generate_toy(ToyConfig(T=1200, gamma=0.999999, seed=2))
-    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
-                     SMALL_GRID, 4)
-    out = _fit_feed_fold(data, plan_folds(c.T - 4, 5, 4).folds[2], 2, 5)
+    fold = plan_folds(c.T - 4, 5, 4).folds[2]
+    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                      SMALL_GRID, 4, fold, 5)
+    out = _fit_feed_fold(data, fold, 2, 5)
     assert out.correlation > 0.99
 
 
@@ -240,9 +255,9 @@ def test_correlation_via_kernel_blocks_matches_fold():
     pool = pool_excluding(c, "X").matrix
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[1]
-    data = _FeedData(c.feed("X").matrix, pool, grid, 3)
+    data = _fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5)
     out = _fit_feed_fold(data, fold, 1, 5)
-    emb, pool_trim = data.emb[3].cols(np.arange(c.T - 3)), data.pool_trim
+    emb, pool_trim = _cols(data.emb[3], np.arange(c.T - 3)), data.pool_trim
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
@@ -270,9 +285,9 @@ def test_fold_fit_dual_route_matches_kernel_solve():
     plan = plan_folds(c.T - 2, 4, 2)
     fold = plan.folds[1]
     assert 40 * 2 > len(fold.train_indices)  # forces the dual route
-    data = _FeedData(c.feed("f0").matrix, pool, grid, 2)
+    data = _fold_data(c.feed("f0").matrix, pool, grid, 2, fold, 4)
     out = _fit_feed_fold(data, fold, 1, 4)
-    emb = data.emb[2].cols(np.arange(c.T - 2))
+    emb = _cols(data.emb[2], np.arange(c.T - 2))
     pool_trim = np.asarray(data.pool_trim)
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
@@ -303,8 +318,10 @@ def test_degenerate_projection_scored_zero():
     mats = [np.zeros((2, 60)), np.random.default_rng(5).random((2, 60))]
     c = corpus_from(mats)
     grid = HyperGrid(lags=(1,), kappas=(1e-2,))
-    data = _FeedData(c.feed("f0").matrix, pool_excluding(c, "f0").matrix, grid, 1)
-    out = _fit_feed_fold(data, plan_folds(59, 4, 1).folds[0], 0, 4)
+    fold = plan_folds(59, 4, 1).folds[0]
+    data = _fold_data(c.feed("f0").matrix, pool_excluding(c, "f0").matrix,
+                      grid, 1, fold, 4)
+    out = _fit_feed_fold(data, fold, 0, 4)
     assert out.degenerate
     assert out.correlation == 0.0
 
@@ -650,7 +667,8 @@ def test_emit_trend_unit_energy_and_consistency():
     pool = pool_excluding(c, "X").matrix
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[2]
-    out = _fit_feed_fold(_FeedData(c.feed("X").matrix, pool, grid, 3), fold, 2, 5)
+    out = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5),
+                         fold, 2, 5)
     w = PrimalWeights(out.w_x, out.w_y)
     x = c.feed("X").matrix
     times = fold.test_indices + 3
@@ -679,7 +697,8 @@ def test_training_blind_to_test_block():
     pool = pool_excluding(c, "X").matrix
     plan = plan_folds(c.T - trim, 5, trim)
     for fold in plan.folds[:2]:
-        base = _fit_feed_fold(_FeedData(c.feed("X").matrix, pool, grid, trim),
+        base = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, trim,
+                                         fold, 5),
                               fold, fold.test_indices[0], 5)
         rng = np.random.default_rng(99)
         corrupted = [f.matrix.toarray() for f in c.feeds]
@@ -687,8 +706,8 @@ def test_training_blind_to_test_block():
         for m in corrupted:
             m[:, test_times] = rng.standard_normal((m.shape[0], len(test_times)))
         c2 = corpus_from(corrupted, ids=[f.feed_id for f in c.feeds])
-        data2 = _FeedData(c2.feed("X").matrix, pool_excluding(c2, "X").matrix,
-                          grid, trim)
+        data2 = _fold_data(c2.feed("X").matrix, pool_excluding(c2, "X").matrix,
+                           grid, trim, fold, 5)
         redo = _fit_feed_fold(data2, fold, fold.test_indices[0], 5)
         assert np.array_equal(base.model.alpha, redo.model.alpha)
         assert np.array_equal(base.model.beta, redo.model.beta)
@@ -701,10 +720,13 @@ def test_training_blind_to_test_block():
 # ---------------------------------------------------------------------------
 # batched primal inner scoring
 
-def _inner_plan(data, n_outer, n_inner, outer=0):
-    t_eff = data.pool_trim.shape[1]
-    outer_plan = plan_folds(t_eff, n_outer, data.trim)
-    return plan_folds(outer_plan.folds[outer].train_indices, n_inner, data.trim)
+def _scoring_data(x, pool, grid, n_outer, n_inner, outer=0):
+    """Feed data and inner plan of outer fold ``outer``, as nested
+    selection builds them, with trim at the largest lag."""
+    trim = grid.max_lag
+    fold = plan_folds(x.shape[1] - trim, n_outer, trim).folds[outer]
+    return (_fold_data(x, pool, grid, trim, fold, n_inner),
+            plan_folds(fold.train_indices, n_inner, trim))
 
 
 def _generic_tables(data, plan):
@@ -720,9 +742,8 @@ def _batched_tables(data, plan):
 
 def test_batched_scorer_matches_generic_on_toy():
     c = generate_toy(ToyConfig(T=800, seed=1))
-    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
-                     SMALL_GRID, SMALL_GRID.max_lag)
-    plan = _inner_plan(data, 5, 5, outer=2)
+    data, plan = _scoring_data(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                               SMALL_GRID, 5, 5, outer=2)
     batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
     assert np.abs(batched - generic).max() < 1e-12
     assert np.abs(generic).max() > 0.5
@@ -731,9 +752,9 @@ def test_batched_scorer_matches_generic_on_toy():
 def test_batched_scorer_matches_generic_on_leader():
     c = generate_leader(LeaderConfig(F=5, W=12, T=2000, seed=3))
     grid = HyperGrid(lags=tuple(range(1, 7)))
-    data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader").matrix,
-                     grid, grid.max_lag)
-    plan = _inner_plan(data, 10, 10, outer=4)
+    data, plan = _scoring_data(c.feed("leader").matrix,
+                               pool_excluding(c, "leader").matrix, grid, 10, 10,
+                               outer=4)
     batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
     assert np.abs(batched - generic).max() < 1e-12
 
@@ -750,11 +771,10 @@ def test_batched_scorer_rank_cut_groups_folds():
     x = np.vstack([base, base, np.zeros((1, T))])
     pool = latent[:T][None, :] * rng.standard_normal((3, 1)) \
         + 0.5 * rng.standard_normal((3, T))
-    probe = _FeedData(x, pool, grid, grid.max_lag)
-    plan = _inner_plan(probe, 5, 5)
+    _, plan = _scoring_data(x, pool, grid, 5, 5)
     hidden = plan.folds[1].test_indices + grid.max_lag  # raw times
     x[4, hidden] = rng.standard_normal(len(hidden))
-    data = _FeedData(x, pool, grid, grid.max_lag)
+    data, _ = _scoring_data(x, pool, grid, 5, 5)
 
     d_max = data.emb[grid.max_lag].shape[0]
     _, scatter = _fold_moments(data, plan, range(len(plan.folds)))
@@ -771,13 +791,12 @@ def test_batched_scorer_constant_pool_fold_scores_zero():
     T, grid = 500, HyperGrid(lags=(1, 2), kappas=(1e-2, 1.0))
     x = rng.standard_normal((3, T))
     pool = np.full((3, T), 0.5)
-    probe = _FeedData(x, pool, grid, grid.max_lag)
-    plan = _inner_plan(probe, 4, 4)
+    _, plan = _scoring_data(x, pool, grid, 4, 4)
     # the pool varies only inside fold 2's test block, so fold 2 trains on
     # a constant pool while every other fold sees that block in training
     times = plan.folds[2].test_indices + grid.max_lag
     pool[:, times] = x[:, times - 1] + 0.1 * rng.standard_normal((3, len(times)))
-    data = _FeedData(x, pool, grid, grid.max_lag)
+    data, _ = _scoring_data(x, pool, grid, 4, 4)
     with np.errstate(all="raise"):
         batched = _batched_tables(data, plan)
     generic = _generic_tables(data, plan)
@@ -808,7 +827,7 @@ def test_nested_select_mixes_routes_when_folds_are_narrower_than_d(monkeypatch):
     x = np.outer(rng.standard_normal(w), latent) + rng.standard_normal((w, T))
     pool = np.outer(rng.standard_normal(4), np.roll(latent, 1)) \
         + 0.5 * rng.standard_normal((4, T))
-    data = _FeedData(x, pool, grid, 1)
+    data = _fold_data(x, pool, grid, 1, outer, 5)
     _, _, scores = _nested_select(data, outer.train_indices, 5)
     narrow = sum(n < w for n in sizes)
     assert sorted(routes) == ["_score_fold_generic"] * narrow + ["_score_fold_primal"]
@@ -822,8 +841,8 @@ def test_nested_select_splits_primal_folds_into_bounded_batches(monkeypatch):
     one."""
     import ctrend.evaluation as ev
     c = generate_toy(ToyConfig(T=600, seed=5))
-    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X").matrix,
-                     SMALL_GRID, SMALL_GRID.max_lag)
+    data, _ = _scoring_data(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+                            SMALL_GRID, 5, 5, outer=1)
     train = plan_folds(600 - SMALL_GRID.max_lag, 5, SMALL_GRID.max_lag
                        ).folds[1].train_indices
     batches = []
@@ -848,8 +867,7 @@ def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
     top = trim = grid.max_lag
     x = c.feed("X").matrix.toarray()
     pool = pool_excluding(c, "X").matrix.toarray()
-    data = _FeedData(x, pool, grid, trim)
-    plan = _inner_plan(data, 5, 5, outer=3)
+    data, plan = _scoring_data(x, pool, grid, 5, 5, outer=3)
     ids = list(range(len(plan.folds)))
     means, scatter = _fold_moments(data, plan, ids)
     z = np.vstack((embed_columns(x, top)[:, trim - top:], pool[:, trim:]))
@@ -873,7 +891,8 @@ def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
         x2, pool2 = x.copy(), pool.copy()
         x2[:, only_held] = 1e3 * rng.standard_normal((x.shape[0], len(only_held)))
         pool2[:, held + trim] = -7.0
-        means2, scatter2 = _fold_moments(_FeedData(x2, pool2, grid, trim), plan, ids)
+        data2, _ = _scoring_data(x2, pool2, grid, 5, 5, outer=3)
+        means2, scatter2 = _fold_moments(data2, plan, ids)
         assert np.array_equal(means2[f], means[f])
         assert np.array_equal(scatter2[f], scatter[f])
 
@@ -889,7 +908,8 @@ def _dual_feed(w=300, t=120, seed=7):
 
 def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
     """W = 1003 is not a multiple of 4, and the first 1024-row chunk of the
-    lag-3 embedding straddles lag blocks 0 and 1."""
+    lag-3 embedding straddles lag blocks 0 and 1. Plain matrices, such as
+    the pool side's, are cut the same way."""
     rng = np.random.default_rng(11)
     w, t, lag = 1003, 160, 3
     x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.1)
@@ -898,15 +918,18 @@ def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
     full = embed_columns(x, lag)[:, idx]
     grid = HyperGrid(lags=(lag,), kappas=(1.0,))
     for x_in in (x, sp.csc_matrix(x)):
-        emb = _FeedData(x_in, x_in, grid, lag).emb[lag]
+        emb = _FeedData(x_in, x_in, grid, lag, t).emb[lag]  # no Gram needed
         assert emb.dense
-        assert np.array_equal(emb.cols_dot(idx, c), full @ c)
-    # sparse columns, multiplied at once
+        assert np.array_equal(_cols_dot(emb, idx, c), full @ c)
+        m = embed_columns(x_in, lag)
+        assert np.array_equal(_cols_dot(m, idx, c),
+                              np.asarray(m[:, idx] @ c).ravel())
+    # sparse columns, in sparse chunks
     monkeypatch.setattr(evaluation, "_DENSE_LIMIT", 0)
-    emb = _FeedData(sp.csc_matrix(x), x, grid, lag).emb[lag]
+    emb = _FeedData(sp.csc_matrix(x), x, grid, lag, t).emb[lag]
     assert not emb.dense
     sparse_full = embed_columns(sp.csc_matrix(x), lag)[:, idx]
-    assert np.array_equal(emb.cols_dot(idx, c), sparse_full @ c)
+    assert np.array_equal(_cols_dot(emb, idx, c), sparse_full @ c)
 
 
 @pytest.mark.parametrize("chunk", [4, 8, 12, 64])
@@ -916,9 +939,9 @@ def test_dual_weight_small_chunks_straddle_lag_blocks(monkeypatch, chunk):
     x = rng.standard_normal((w, t))
     idx = np.arange(5, 30)
     c = rng.standard_normal(len(idx))
-    emb = _FeedData(x, x, HyperGrid(lags=(lag,), kappas=(1.0,)), lag).emb[lag]
-    monkeypatch.setattr(evaluation, "_CHUNK_ROWS", chunk)
-    assert np.array_equal(emb.cols_dot(idx, c), embed_columns(x, lag)[:, idx] @ c)
+    emb = _FeedData(x, x, HyperGrid(lags=(lag,), kappas=(1.0,)), lag, t).emb[lag]
+    monkeypatch.setattr("ctrend.kcca._CHUNK_ROWS", chunk)
+    assert np.array_equal(_cols_dot(emb, idx, c), embed_columns(x, lag)[:, idx] @ c)
 
 
 def test_leader_shaped_feed_builds_no_gram(monkeypatch):
@@ -933,7 +956,7 @@ def test_leader_shaped_feed_builds_no_gram(monkeypatch):
     grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
     plan = plan_folds(c.T - 3, 3, 3)
     data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader").matrix,
-                     grid, 3, evaluation._fewest_train(
+                     grid, 3, _fewest_train(
                          [f.train_indices for f in plan.folds], 3, 3))
     assert data._grams == {}
     analyze(c, grid, n_folds=3, n_inner=3, with_lsa=True, with_shuffle=True)

@@ -21,7 +21,7 @@ from ctrend import (
 )
 from ctrend.embedding import embed_columns
 from ctrend.evaluation import HyperGrid, _FeedData, _fit_feed_fold
-from ctrend.kcca import center_kernel, linear_kernel, solve_kcca
+from ctrend.kcca import _cols, center_kernel, linear_kernel, solve_kcca
 from ctrend.reporting import dumps
 
 from oracles import generalized_eig_top, json_text
@@ -63,7 +63,8 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
     idx = np.asarray(picks.draw(st.lists(st.integers(0, t - trim - 1),
                                          min_size=1, max_size=t - trim)))
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
-        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim)
+        # no lag is wider than W * max lag training columns: builds no Gram
+        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, w * grid.max_lag)
         old = _materialized(x_in, grid, trim)
     for lag in grid.lags:
         emb = data.emb[lag]
@@ -72,7 +73,7 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
         assert emb.dense != sparse
         assert sp.issparse(old[lag]) == sparse
         assert emb.shape == ref.shape
-        got = emb.cols(idx)
+        got = _cols(emb, idx)
         want = ref[:, idx]
         want = want.toarray() if sp.issparse(want) else want
         assert np.array_equal(got, want)
@@ -85,15 +86,30 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(case=feed_cases(), sparse_input=st.booleans())
 def test_dual_gram_is_kernel_of_materialized_row_block(case, sparse_input):
+    """Each Gram is the kernel of the old row block, whose type and memory
+    layout its input keeps too (BLAS may round differently per layout)."""
     x, pool, grid, trim, limit = case
     x_in = sp.csc_matrix(x) if sparse_input else x
     if x.shape[1] - trim < 2:
         return  # a Gram needs two samples
-    with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
-        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim)
+    seen = {}  # kernel inputs by row count, which differs per lag
+
+    def layout(m):
+        return sp.issparse(m) or (m.flags.c_contiguous, m.flags.f_contiguous)
+
+    def spy(m, _fn=linear_kernel):
+        seen[m.shape[0]] = layout(m)
+        return _fn(m)
+
+    with mock.patch.object(evaluation, "_DENSE_LIMIT", limit), \
+            mock.patch.object(evaluation, "linear_kernel", spy):
+        # the smallest lag's Gram is built on demand, the others with the data
+        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim,
+                         x.shape[0] * min(grid.lags))
         old = _materialized(x_in, grid, trim)
         for lag in grid.lags:
             assert np.array_equal(data.gram_x(lag), linear_kernel(old[lag]))
+            assert seen[old[lag].shape[0]] == layout(old[lag])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +243,9 @@ def test_fit_is_bit_identical_when_the_test_block_is_randomized(case, sparse_inp
         # sparse input stays sparse, so that the generic route scores too
         limit = 0 if sparse_input else evaluation._DENSE_LIMIT
         with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
-            data = _FeedData(as_input(x), as_input(pool), grid, trim)
+            data = _FeedData(as_input(x), as_input(pool), grid, trim,
+                             evaluation._fewest_train([fold.train_indices],
+                                                      n_inner, trim))
             return _fit_feed_fold(data, fold, fold_i, n_inner)
 
     base = fit(x, pool)
@@ -269,10 +287,11 @@ def test_fit_eigenvalue_matches_kernel_solve_and_oracle(case):
     x, pool, t, kappa = case
     grid = HyperGrid(lags=(1,), kappas=(kappa,))
     fold = evaluation.plan_folds(t - 1, 2, 1).folds[0]
-    data = _FeedData(x, pool, grid, 1)
+    data = _FeedData(x, pool, grid, 1,
+                     evaluation._fewest_train([fold.train_indices], 2, 1))
     out = _fit_feed_fold(data, fold, 0, 2)
     assert (out.n_lags, out.kappa) == (1, kappa)
-    emb = data.emb[1].cols(fold.train_indices)
+    emb = _cols(data.emb[1], fold.train_indices)
     kx, _ = center_kernel(linear_kernel(emb))
     ky, _ = center_kernel(linear_kernel(data.pool_trim[:, fold.train_indices]))
     reference = generalized_eig_top(kx, ky, kappa)
