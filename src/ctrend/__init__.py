@@ -22,13 +22,7 @@ from .corpus import (  # noqa: E402
     tfidf_normalize,
     tokenize,
 )
-from .embedding import (  # noqa: E402
-    EmbeddedMatrix,
-    PooledSeries,
-    pool_excluding,
-    temporal_embed,
-    trim_pool,
-)
+from .embedding import embed_columns, pool_excluding  # noqa: E402
 from .kcca import (  # noqa: E402
     KccaModel,
     PrimalWeights,
@@ -37,7 +31,6 @@ from .kcca import (  # noqa: E402
     linear_kernel,
     pearson_correlation,
     project,
-    recover_primal,
     solve_kcca,
 )
 from .evaluation import (  # noqa: E402
@@ -51,7 +44,6 @@ from .evaluation import (  # noqa: E402
     emit_trend,
     lsa_baseline,
     lsa_direction,
-    nested_select,
     plan_folds,
     rank_feeds,
     shuffle_control,
@@ -66,15 +58,14 @@ from .synth import (  # noqa: E402
 
 __all__ = [
     "__version__",
-    "AnalysisResult", "Corpus", "Document", "EmbeddedMatrix", "FeedReport",
-    "FeedSeries", "FoldPlan", "HyperGrid", "KccaModel", "LeaderConfig",
-    "PooledSeries", "PrimalWeights", "Ranking", "ToyConfig", "Vocabulary",
+    "AnalysisResult", "Corpus", "Document", "FeedReport", "FeedSeries",
+    "FoldPlan", "HyperGrid", "KccaModel", "LeaderConfig", "PrimalWeights",
+    "Ranking", "ToyConfig", "Vocabulary",
     "analyze", "build_vocabulary", "canonical_correlogram", "center_cross",
-    "center_kernel", "corpus_content_hash", "emit_trend", "featurize",
-    "generate_leader", "generate_toy", "linear_kernel", "load_corpus",
-    "lsa_baseline", "lsa_direction", "nested_select", "pearson_correlation",
+    "center_kernel", "corpus_content_hash", "embed_columns", "emit_trend",
+    "featurize", "generate_leader", "generate_toy", "linear_kernel",
+    "load_corpus", "lsa_baseline", "lsa_direction", "pearson_correlation",
     "plan_folds", "pool_excluding", "project", "rank_feeds",
-    "read_documents_jsonl", "recover_primal", "shuffle_control", "solve_kcca",
-    "store_corpus", "temporal_embed", "tfidf_normalize", "tokenize",
-    "trim_pool", "write_generated",
+    "read_documents_jsonl", "shuffle_control", "solve_kcca", "store_corpus",
+    "tfidf_normalize", "tokenize", "write_generated",
 ]

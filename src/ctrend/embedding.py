@@ -3,49 +3,23 @@
 The pool of a feed is the entrywise mean of every other feed's matrix.
 The temporal embedding stacks lagged copies of a feed matrix so that a
 static projection of the stacked columns becomes a temporal convolution
-over the feed's past. Both operations trim the first ``n_lags`` time
-points instead of zero-padding: every embedded column is fully observed,
-and embedded column j only ever contains data from absolute times
-strictly before j + n_lags.
+over the feed's past. It drops the first ``n_lags`` time points instead
+of zero-padding: every embedded column is fully observed, and embedded
+column j only ever contains data from absolute times strictly before
+j + n_lags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, FeedSeries
+from .corpus import Corpus
 from .exceptions import NotEnoughFeeds, SeriesTooShort, UnknownFeed
 
 
-@dataclass
-class PooledSeries:
-    """Entrywise mean over all feeds except ``excluded_feed`` (W x T)."""
-
-    excluded_feed: str
-    matrix: sp.csc_matrix
-
-
-@dataclass
-class EmbeddedMatrix:
-    """Lag-stacked copy of one feed's matrix.
-
-    ``matrix`` has shape (W * n_lags) x (T - n_lags). Column j stacks the
-    raw columns j .. j+n_lags-1 top to bottom, i.e. the top block holds
-    lag -n_lags and the bottom block lag -1, all relative to the absolute
-    time t = j + n_lags the column predicts from.
-    """
-
-    feed_id: str
-    n_lags: int
-    matrix: sp.spmatrix
-    valid_offset: int
-
-
-def pool_excluding(c: Corpus, feed_id: str) -> PooledSeries:
-    """Mean of all feed matrices except ``feed_id``."""
+def pool_excluding(c: Corpus, feed_id: str) -> sp.csc_matrix:
+    """Mean of all feed matrices except ``feed_id`` (W x T)."""
     if c.F < 2:
         raise NotEnoughFeeds(f"pooling needs at least 2 feeds, corpus has {c.F}")
     others = [f.matrix for f in c.feeds if f.feed_id != feed_id]
@@ -54,11 +28,16 @@ def pool_excluding(c: Corpus, feed_id: str) -> PooledSeries:
     acc = others[0].astype(float)
     for m in others[1:]:
         acc = acc + m
-    return PooledSeries(feed_id, (acc / len(others)).tocsc())
+    return (acc / len(others)).tocsc()
 
 
 def embed_columns(x: sp.spmatrix | np.ndarray, n_lags: int) -> sp.spmatrix | np.ndarray:
-    """Lag-stack a raw W x T matrix into (W*n_lags) x (T-n_lags)."""
+    """Lag-stack a raw W x T matrix into (W*n_lags) x (T-n_lags).
+
+    Column j stacks the raw columns j .. j+n_lags-1 top to bottom, so the
+    top block holds lag n_lags and the bottom block lag 1, relative to the
+    absolute time t = j + n_lags the column predicts from.
+    """
     if n_lags < 1:
         raise SeriesTooShort(f"need n_lags >= 1, got {n_lags}")
     T = x.shape[1]
@@ -68,19 +47,3 @@ def embed_columns(x: sp.spmatrix | np.ndarray, n_lags: int) -> sp.spmatrix | np.
     if sp.issparse(x):
         return sp.vstack(blocks, format="csc")
     return np.vstack(blocks)
-
-
-def temporal_embed(x: FeedSeries, n_lags: int) -> EmbeddedMatrix:
-    """Embed one feed's matrix; see :class:`EmbeddedMatrix` for layout."""
-    return EmbeddedMatrix(x.feed_id, n_lags, embed_columns(x.matrix, n_lags),
-                          valid_offset=n_lags)
-
-
-def trim_pool(y: PooledSeries, n_lags: int) -> sp.csc_matrix:
-    """Drop the first ``n_lags`` columns so pool column j sits at t = j + n_lags."""
-    if n_lags < 1:
-        raise SeriesTooShort(f"need n_lags >= 1, got {n_lags}")
-    T = y.matrix.shape[1]
-    if T <= n_lags:
-        raise SeriesTooShort(f"series length {T} too short for {n_lags} lags")
-    return y.matrix[:, n_lags:].tocsc()

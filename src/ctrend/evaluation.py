@@ -10,12 +10,12 @@ correlation is recorded, and feeds are ranked by their mean fold score.
 No lag embedding is kept. A feed's lag-L embedding is read column by
 column from the raw feed (lag-L column j stacks raw columns j+trim-L ..
 j+trim-1), and it is the bottom row block of the lag-max embedding. The
-Gram matrices of the lags that can take the dual route are built first,
-from one transient lag-max embedding per feed, and the dual weight is
-recovered in row chunks, so no full copy of the training columns is made
-either. The solver core is in :mod:`kcca`: the side factors, the
-spectrum cut and the one canonical fit, which the final fold fit shares
-with ``solve_kcca``. Inner folds on the primal route (dense embedding no
+Gram matrices of the lags that can take the dual route are all built with
+the feed's data, from one transient lag-max embedding per feed, and the
+dual weight is recovered in row chunks, so no full copy of the training
+columns is made either. The solver core is in :mod:`kcca`: the side
+factors, the spectrum cut and the one canonical fit, which the final fold
+fit shares with ``solve_kcca``. Inner folds on the primal route (dense embedding no
 wider than the fold's training set) are scored in memory-bounded batches
 from segment moments (:func:`_score_fold_primal`); the others are scored
 one at a time on side factors (:func:`_score_fold_generic`).
@@ -221,16 +221,17 @@ class _LagEmbedding:
 def _lag_grams(x, trim: int, top: int, lags) -> dict:
     """Full-axis Gram matrix of each lag in ``lags``, from one transient
     lag-``top`` embedding of ``x``, each lag's being its bottom row block,
-    dense as :func:`_dense_embedding` says. Densifying the csc embedding
-    of a csc feed gives the column-major layout that stacking the feed's
-    dense copy gives (``np.vstack`` keeps its inputs' order), so the Grams
-    see the same layout whichever is densified first."""
+    dense as :func:`_dense_embedding` says. A sparse embedding is
+    densified in the layout that stacking the feed's dense copy gives, so
+    the Grams see the layout of a kept embedding: ``np.vstack`` keeps its
+    inputs' order, column-major for a csc feed of several rows and
+    row-major otherwise (a single row is both)."""
     if not lags:
         return {}
+    w = x.shape[0]
     emb_max = embed_columns(x[:, trim - top:], top)
     if sp.issparse(emb_max) and _dense_embedding(x, top, trim):
-        emb_max = emb_max.toarray()
-    w = x.shape[0]
+        emb_max = emb_max.toarray(order="F" if x.format == "csc" and w > 1 else "C")
     return {lag: linear_kernel(_as_dense_if_small(emb_max[w * (top - lag):]))
             for lag in lags}
 
@@ -243,11 +244,10 @@ class _FeedData:
     (:class:`_LagEmbedding`); row block ``lag_rows[lag]`` of the lag-max
     embedding. No embedding is kept. The Gram matrix of each lag wider
     than ``min_train`` (the fewest training columns any fold will factor,
-    so the lags that can take the dual route) is built first, from one
+    so every lag that can take the dual route) is built here, from one
     transient lag-max embedding made from the caller's matrix before the
-    dense copies of the feed and pool exist; a lag whose Gram is asked for
-    later gets it from the feed's copy, with the same values and layout.
-    The pool's Gram is cached lazily.
+    dense copies of the feed and pool exist. The pool's Gram is cached
+    lazily.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
@@ -274,11 +274,7 @@ class _FeedData:
         self.gram_y = functools.cache(functools.partial(linear_kernel, self.pool_trim))
 
     def gram_x(self, lag: int) -> np.ndarray:
-        """The lag's full-axis Gram matrix; one not built with the data is
-        built now from the feed's copy (:func:`_lag_grams`)."""
-        if lag not in self._grams:
-            self._grams.update(_lag_grams(self.x_raw, self.trim, self.grid.max_lag,
-                                          [lag]))
+        """The lag's full-axis Gram matrix, built with the data."""
         return self._grams[lag]
 
 
@@ -462,21 +458,6 @@ def _nested_select(data: _FeedData, train_positions, n_inner: int
     return lag, kappa, scores
 
 
-def nested_select(x_feed, pool, train_positions, grid: HyperGrid, trim: int,
-                  n_inner: int = 10) -> tuple[int, float, np.ndarray]:
-    """Pick (n_lags, kappa) by nested blocked CV over the training block.
-
-    Returns the grid point with the best mean inner-fold test correlation;
-    ties prefer fewer lags, then a larger regularizer. The inner folds are
-    planned once with the full ``trim`` buffer so every grid point sees
-    identical fold boundaries. Degenerate inner folds score zero rather
-    than being dropped. Also returns the mean score table.
-    """
-    data = _FeedData(x_feed, pool, grid, trim,
-                     _fewest_train([train_positions], n_inner, trim))
-    return _nested_select(data, train_positions, n_inner)
-
-
 def _lag_series(weights: PrimalWeights, x_feed, pool, eval_times
                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-lag feed projections w_x(tau)^T X(:, t - tau), tau = 1..n_lags,
@@ -623,7 +604,7 @@ def shuffle_control(corpus: Corpus, feed_id: str, seed, grid: HyperGrid | None =
     rng = np.random.default_rng(seed)
     perm = _sample_permutation(rng, corpus.T)
     x_shuffled = corpus.feed(feed_id).matrix[:, perm]
-    pool = pool_excluding(corpus, feed_id).matrix
+    pool = pool_excluding(corpus, feed_id)
     trim = grid.max_lag
     plan = plan_folds(corpus.T - trim, n_folds, trim)
     data = _FeedData(x_shuffled, pool, grid, trim,
@@ -731,7 +712,7 @@ def _feed_data(feed_id: str) -> _FeedData:
         _FEED_CACHE.clear()
         corpus = _CTX["corpus"]
         _FEED_CACHE[feed_id] = _FeedData(corpus.feed(feed_id).matrix,
-                                         pool_excluding(corpus, feed_id).matrix,
+                                         pool_excluding(corpus, feed_id),
                                          _CTX["grid"], _CTX["trim"],
                                          _CTX["min_train"])
     return _FEED_CACHE[feed_id]

@@ -374,9 +374,7 @@ def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float, **model_fields
     return model, a, b
 
 
-def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
-               n_lags: int | None = None,
-               train_indices: np.ndarray | None = None) -> KccaModel:
+def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float) -> KccaModel:
     """First canonical pair on centered training kernels, by the same
     fit (:func:`_fit_pair`) that ``analyze`` runs per fold."""
     kx = np.asarray(kx, dtype=float)
@@ -387,7 +385,7 @@ def solve_kcca(kx: np.ndarray, ky: np.ndarray, kappa: float,
     if kx.shape[0] < 2:
         raise TooFewSamples("need at least 2 training samples")
     return _fit_pair(_SideFactor.of_centered(kx), _SideFactor.of_centered(ky),
-                     kappa, n_lags=n_lags, train_indices=train_indices)[0]
+                     kappa)[0]
 
 
 def project(model: KccaModel, kx_block: np.ndarray, ky_block: np.ndarray
@@ -408,29 +406,6 @@ def project(model: KccaModel, kx_block: np.ndarray, ky_block: np.ndarray
     if not all(np.isfinite(w).all() for w in out):
         raise NumericalFailure("projection produced non-finite values")
     return out[0], out[1]
-
-
-def recover_primal(model: KccaModel, x_embedded, y_trimmed) -> PrimalWeights:
-    """Input-space weights w_x(tau) and w_y from the dual coefficients.
-
-    ``x_embedded`` is the (W * n_lags) x n embedded training matrix and
-    ``y_trimmed`` the W x n trimmed training pool. Because the dual
-    vectors of a centered kernel sum to zero, centering the data here
-    would not change the result; raw matrices are expected.
-    """
-    x = x_embedded.matrix if hasattr(x_embedded, "matrix") else x_embedded
-    n_lags = getattr(x_embedded, "n_lags", None) or model.n_lags
-    if n_lags is None:
-        raise ShapeMismatch("number of lags unknown; pass an EmbeddedMatrix "
-                            "or a model with n_lags set")
-    if x.shape[1] != model.alpha.shape[0]:
-        raise ShapeMismatch(f"embedded matrix has {x.shape[1]} columns, model "
-                            f"has {model.alpha.shape[0]} training samples")
-    if x.shape[0] % n_lags != 0:
-        raise ShapeMismatch(f"embedded row count {x.shape[0]} not divisible "
-                            f"by {n_lags} lags")
-    return PrimalWeights(_lag_columns(np.asarray(x @ model.alpha).ravel(), n_lags),
-                         np.asarray(y_trimmed @ model.beta).ravel())
 
 
 def _lag_columns(w_flat: np.ndarray, n_lags: int) -> np.ndarray:

@@ -213,7 +213,7 @@ def _trend_rows(result: AnalysisResult, corpus: Corpus, feed_id: str) -> list[st
     if best is None:
         return []
     x = corpus.feed(feed_id).matrix
-    pool = pool_excluding(corpus, feed_id).matrix
+    pool = pool_excluding(corpus, feed_id)
     times = result.plan.axis + result.trim
     try:
         y, yhat = emit_trend(PrimalWeights(best.w_x, best.w_y), x, pool, times)
@@ -226,6 +226,10 @@ def _trend_rows(result: AnalysisResult, corpus: Corpus, feed_id: str) -> list[st
 # ---------------------------------------------------------------------------
 # re-emission from a stored models.json
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_models(path: str | Path) -> dict:
     try:
         models = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -234,6 +238,13 @@ def load_models(path: str | Path) -> dict:
     for key in ("corpus_hash", "seed", "trim", "feeds"):
         if key not in models:
             raise FormatError(f"models file is missing key {key!r}")
+    if not isinstance(models["corpus_hash"], str):
+        raise FormatError("models file key 'corpus_hash' must be a string")
+    if not _is_int(models["trim"]) or models["trim"] < 1:
+        raise FormatError(f"models file key 'trim' must be a positive integer, "
+                          f"got {json.dumps(models['trim'])}")
+    if not isinstance(models["feeds"], dict):
+        raise FormatError("models file key 'feeds' must map feed ids to fold lists")
     return models
 
 
@@ -245,26 +256,81 @@ def check_corpus_binding(models: dict, corpus_hash: str):
         )
 
 
-def _stored_outcomes(models: dict, feed_id: str):
+def _stored_weights(where: str, entry: dict, key: str, shape: tuple,
+                    what: str) -> np.ndarray:
+    """``entry[key]`` as a float array of ``shape``, or FormatError."""
+    try:
+        a = np.asarray(entry[key], dtype=float)
+    except (TypeError, ValueError):
+        raise FormatError(f"{where}: {key!r} must be {what}") from None
+    if a.shape != shape:
+        raise FormatError(f"{where}: {key!r} must be {what}, got shape {a.shape}")
+    return a
+
+
+def _stored_outcomes(models: dict, corpus: Corpus, feed_id: str) -> list[dict]:
+    """The feed's fold entries, each checked once before it is read: the
+    ``fold``, ``n_lags`` (1 .. trim) and ``correlation`` keys, and for a
+    fold with weights ``w_x`` (W x n_lags), ``w_y`` (W) and
+    ``test_positions`` (integers on the trimmed time axis). The weights
+    and positions come back as arrays. Raises FormatError naming the feed
+    and the fold entry."""
     feeds = models["feeds"]
     if feed_id not in feeds:
         raise UnknownFeed(f"models file has no feed {feed_id!r}")
-    return feeds[feed_id]
+    entries = feeds[feed_id]
+    if not isinstance(entries, list):
+        raise FormatError(f"models file feed {feed_id!r}: folds must be a list")
+    trim, w, n_axis = models["trim"], corpus.W, corpus.T - models["trim"]
+    checked = []
+    for i, entry in enumerate(entries):
+        where = f"models file feed {feed_id!r} fold entry {i}"
+        if not isinstance(entry, dict):
+            raise FormatError(f"{where}: must be an object")
+        weighted = entry.get("w_x") is not None
+        keys = ("fold", "n_lags", "correlation") + (
+            ("w_y", "test_positions") if weighted else ())
+        for key in keys:
+            if key not in entry:
+                raise FormatError(f"{where} is missing key {key!r}")
+        n_lags, corr = entry["n_lags"], entry["correlation"]
+        if not _is_int(entry["fold"]):
+            raise FormatError(f"{where}: 'fold' must be an integer")
+        if not _is_int(n_lags) or not 1 <= n_lags <= trim:
+            raise FormatError(f"{where}: 'n_lags' must be an integer in 1..{trim}")
+        if not isinstance(corr, (int, float)) or isinstance(corr, bool):
+            raise FormatError(f"{where}: 'correlation' must be a number")
+        out = {"fold": entry["fold"], "correlation": corr, "w_x": None}
+        if weighted:
+            out["w_x"] = _stored_weights(where, entry, "w_x", (w, n_lags),
+                                         f"a {w} x {n_lags} array (terms x lags)")
+            out["w_y"] = _stored_weights(where, entry, "w_y", (w,),
+                                         f"an array of {w} weights (one per term)")
+            try:
+                pos = np.asarray(entry["test_positions"])
+            except ValueError:
+                pos = np.zeros(0)
+            if pos.ndim != 1 or pos.dtype.kind not in "iu" or not len(pos) \
+                    or pos.min() < 0 or pos.max() >= n_axis:
+                raise FormatError(f"{where}: 'test_positions' must be a list "
+                                  f"of integers in 0..{n_axis - 1}")
+            out["test_positions"] = pos
+        checked.append(out)
+    return checked
 
 
 def write_correlogram_from_models(models: dict, corpus: Corpus, feed_id: str,
                                   out_path: str | Path):
     """Recompute the fold-mean correlogram from stored weights."""
     x = corpus.feed(feed_id).matrix
-    pool = pool_excluding(corpus, feed_id).matrix
+    pool = pool_excluding(corpus, feed_id)
     trim = models["trim"]
     correlograms = []
-    for entry in _stored_outcomes(models, feed_id):
-        if entry.get("w_x") is None:
+    for entry in _stored_outcomes(models, corpus, feed_id):
+        if entry["w_x"] is None:
             continue
-        weights = PrimalWeights(np.asarray(entry["w_x"], dtype=float),
-                                np.asarray(entry["w_y"], dtype=float))
-        times = np.asarray(entry["test_positions"], dtype=int) + trim
+        weights = PrimalWeights(entry["w_x"], entry["w_y"])
+        times = entry["test_positions"] + trim
         correlograms.append(canonical_correlogram(weights, x, pool, times))
     rows = correlogram_rows(mean_correlogram(correlograms))
     _write_csv(Path(out_path), _meta_line(models["seed"], models["corpus_hash"]),
@@ -274,10 +340,9 @@ def write_correlogram_from_models(models: dict, corpus: Corpus, feed_id: str,
 def write_topwords_from_models(models: dict, corpus: Corpus, feed_id: str,
                                out_path: str | Path, top_k: int = 10):
     """Recompute the top-word table from the best stored fold's weights."""
-    best = best_fold(_stored_outcomes(models, feed_id), dict.get)
+    best = best_fold(_stored_outcomes(models, corpus, feed_id), dict.get)
     rows: list[str] = []
     if best is not None:
-        rows = topword_rows(top_terms(np.asarray(best["w_x"], dtype=float),
-                                      corpus.vocabulary.terms, top_k))
+        rows = topword_rows(top_terms(best["w_x"], corpus.vocabulary.terms, top_k))
     _write_csv(Path(out_path), _meta_line(models["seed"], models["corpus_hash"]),
                "term,lag,weight", rows)

@@ -147,7 +147,7 @@ def test_criterion_04_lambda_is_training_correlation(toy_runs):
         corpus = generate_toy(ToyConfig(seed=seed))
         for feed_id in ("X", "Y"):
             data = _FeedData(corpus.feed(feed_id).matrix,
-                             pool_excluding(corpus, feed_id).matrix,
+                             pool_excluding(corpus, feed_id),
                              run.grid, run.trim,
                              _fewest_train([f.train_indices for f in run.plan.folds],
                                            run.n_inner, run.trim))
@@ -225,7 +225,7 @@ def test_criterion_08_leak_freedom(toy_runs):
         for feed_id in ("X", "Y"):
             base = run.fold_outcomes[feed_id][fold_i].model
             data = _FeedData(corrupted.feed(feed_id).matrix,
-                             pool_excluding(corrupted, feed_id).matrix,
+                             pool_excluding(corrupted, feed_id),
                              run.grid, run.trim,
                              _fewest_train([fold.train_indices], run.n_inner,
                                            run.trim))
@@ -275,14 +275,14 @@ def test_criterion_10_bounds_and_monotonicity(toy_runs):
     grid = HyperGrid()
     tr = runs[42].plan.folds[0].train_indices
     data = _FeedData(corpus.feed("X").matrix,
-                     pool_excluding(corpus, "X").matrix, grid, grid.max_lag,
+                     pool_excluding(corpus, "X"), grid, grid.max_lag,
                      _fewest_train([tr], runs[42].n_inner, grid.max_lag))
     kx, _ = center_kernel(linear_kernel(_cols(data.emb[5], tr)))
     ky, _ = center_kernel(linear_kernel(data.pool_trim[:, tr]))
     monotone = True
     prev_eig, prev_lam = np.inf, np.inf
     for kappa in grid.kappas:
-        m = solve_kcca(kx, ky, kappa, n_lags=5)
+        m = solve_kcca(kx, ky, kappa)
         monotone &= m.eigenvalue <= prev_eig + 1e-10
         monotone &= m.lam <= prev_lam + 1e-6
         prev_eig, prev_lam = m.eigenvalue, m.lam

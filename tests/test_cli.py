@@ -311,6 +311,46 @@ def test_unknown_feed_rejected(analyzed, tmp_path, capsys):
                 "--out", tmp_path / "x.csv"]) == 1
 
 
+_MODEL_EDITS = {
+    "missing-key": (lambda m: m["feeds"]["X"][0].pop("test_positions"),
+                    "models file feed 'X' fold entry 0 is missing key "
+                    "'test_positions'"),
+    "null-correlation": (lambda m: m["feeds"]["X"][0].update(correlation=None),
+                         "models file feed 'X' fold entry 0: 'correlation' "
+                         "must be a number"),
+    "w_x-shape": (lambda m: m["feeds"]["X"][0].update(w_x=[[1.0]]),
+                  "models file feed 'X' fold entry 0: 'w_x' must be a 6 x {n_lags} "
+                  "array (terms x lags), got shape (1, 1)"),
+    "hash-not-string": (lambda m: m.update(corpus_hash=5),
+                        "models file key 'corpus_hash' must be a string"),
+    "string-trim": (lambda m: m.update(trim="3"),
+                    "models file key 'trim' must be a positive integer, got \"3\""),
+    "position-off-axis": (lambda m: m["feeds"]["X"][0].update(test_positions=[496]),
+                          "models file feed 'X' fold entry 0: 'test_positions' "
+                          "must be a list of integers in 0..495"),
+}
+
+
+@pytest.mark.parametrize("command", ["correlogram", "topwords"])
+@pytest.mark.parametrize("edit", sorted(_MODEL_EDITS))
+def test_malformed_models_is_a_named_error(analyzed, tmp_path, capsys, command,
+                                           edit):
+    corpus_dir, out = analyzed
+    models = json.loads((out / "models.json").read_text())
+    entry = models["feeds"]["X"][0]
+    assert entry["w_x"] is not None  # the edits break a fold with weights
+    change, message = _MODEL_EDITS[edit]
+    change(models)
+    bad = tmp_path / "models.json"
+    bad.write_text(json.dumps(models))
+    capsys.readouterr()
+    assert run([command, "--models", bad, "--corpus", corpus_dir, "--feed", "X",
+                "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + message.format(n_lags=entry["n_lags"]) + "\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     corpus_dir = tmp_path / "corpus"
     out = tmp_path / "out"

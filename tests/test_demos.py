@@ -2,12 +2,36 @@ import runpy
 import sys
 from pathlib import Path
 
+import ctrend
+
 DEMOS = Path(__file__).parent.parent / "demos"
 
 
-def test_news_pipeline_demo_runs(capsys):
-    sys.argv = ["news_pipeline.py"]
-    runpy.run_path(str(DEMOS / "news_pipeline.py"), run_name="__main__")
-    out = capsys.readouterr().out
+def _run_demo(name, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [name])
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_news_pipeline_demo_runs(capsys, monkeypatch):
+    out = _run_demo("news_pipeline.py", capsys, monkeypatch)
     assert "1. breaker" in out  # the planted breaker ranks first
     assert "peaks at tau = 2h" in out
+
+
+def test_toy_trend_recovery_demo_runs(capsys, monkeypatch):
+    out = _run_demo("toy_trend_recovery.py", capsys, monkeypatch)
+    assert "peak at tau = 3 hours" in out  # the planted lag
+
+
+def test_leader_ranking_demo_runs(capsys, monkeypatch):
+    out = _run_demo("leader_ranking.py", capsys, monkeypatch)
+    assert "top feed: leader" in out
+
+
+def test_star_import_resolves_every_public_name():
+    names = ctrend.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from ctrend import *", namespace)
+    assert set(names) <= set(namespace)

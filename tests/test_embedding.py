@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ctrend import pool_excluding, temporal_embed, trim_pool
+from ctrend import analyze, embed_columns, pool_excluding
 from ctrend.corpus import Corpus, FeedSeries, Vocabulary
-from ctrend.exceptions import NotEnoughFeeds, SeriesTooShort, UnknownFeed
+from ctrend.evaluation import HyperGrid, _FeedData
+from ctrend.exceptions import (
+    NotEnoughFeeds,
+    SeriesTooShort,
+    TooShortForFolds,
+    UnknownFeed,
+)
+from ctrend.kcca import _cols
 from oracles import dense_pool_mean
 
 from datetime import datetime, timezone
@@ -21,8 +28,9 @@ def corpus_from(mats, ids=None):
                   synthetic=True)
 
 
-def series(mat, fid="f"):
-    return FeedSeries(fid, sp.csc_matrix(np.asarray(mat, dtype=float)))
+def embed(mat, n_lags):
+    return embed_columns(sp.csc_matrix(np.asarray(mat, dtype=float)),
+                         n_lags).toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -32,15 +40,15 @@ def test_pool_two_feeds_is_the_other():
     a = np.arange(8).reshape(2, 4)
     b = np.arange(8).reshape(2, 4) * 3 - 5.0
     c = corpus_from([a, b])
-    assert np.array_equal(pool_excluding(c, "f0").matrix.toarray(), b)
-    assert np.array_equal(pool_excluding(c, "f1").matrix.toarray(), a)
+    assert np.array_equal(pool_excluding(c, "f0").toarray(), b)
+    assert np.array_equal(pool_excluding(c, "f1").toarray(), a)
 
 
 def test_pool_mean_of_equals():
     a = np.ones((2, 3))
     x = np.random.default_rng(0).random((2, 3))
     c = corpus_from([a, x, x])
-    assert np.allclose(pool_excluding(c, "f0").matrix.toarray(), x)
+    assert np.allclose(pool_excluding(c, "f0").toarray(), x)
 
 
 def test_pool_matches_dense_oracle():
@@ -48,7 +56,7 @@ def test_pool_matches_dense_oracle():
     mats = [(rng.random((5, 9)) < 0.5) * rng.random((5, 9)) for _ in range(4)]
     c = corpus_from(mats)
     for i in range(4):
-        got = pool_excluding(c, f"f{i}").matrix.toarray()
+        got = pool_excluding(c, f"f{i}").toarray()
         assert np.allclose(got, dense_pool_mean(mats, i), atol=1e-15)
 
 
@@ -69,8 +77,8 @@ def test_pool_linear_in_scaling():
     mats = [rng.random((3, 5)) for _ in range(3)]
     c1 = corpus_from(mats)
     c2 = corpus_from([7.5 * m for m in mats])
-    p1 = pool_excluding(c1, "f0").matrix.toarray()
-    p2 = pool_excluding(c2, "f0").matrix.toarray()
+    p1 = pool_excluding(c1, "f0").toarray()
+    p2 = pool_excluding(c2, "f0").toarray()
     assert np.allclose(p2, 7.5 * p1)
 
 
@@ -78,29 +86,27 @@ def test_pool_linear_in_scaling():
 # temporal embedding
 
 def test_embed_scalar_series():
-    emb = temporal_embed(series([[1.0, 2.0, 3.0, 4.0]]), 2)
-    assert emb.matrix.shape == (2, 2)
-    assert emb.valid_offset == 2
+    emb = embed([[1.0, 2.0, 3.0, 4.0]], 2)
     # columns for t = 2, 3 hold [x(t-2), x(t-1)]
-    assert np.array_equal(emb.matrix.toarray(), [[1.0, 2.0], [2.0, 3.0]])
+    assert np.array_equal(emb, [[1.0, 2.0], [2.0, 3.0]])
 
 
 def test_embed_single_lag_is_shift():
     x = np.random.default_rng(0).random((3, 6))
-    emb = temporal_embed(series(x), 1)
-    assert np.array_equal(emb.matrix.toarray(), x[:, :-1])
+    assert np.array_equal(embed(x, 1), x[:, :-1])
 
 
 def test_embed_shape():
     x = np.zeros((2, 10))
-    assert temporal_embed(series(x), 3).matrix.shape == (6, 7)
+    assert embed_columns(sp.csc_matrix(x), 3).shape == (6, 7)
+    assert embed_columns(x, 3).shape == (6, 7)
 
 
 def test_embed_too_short():
     with pytest.raises(SeriesTooShort):
-        temporal_embed(series(np.ones((1, 3))), 3)
+        embed(np.ones((1, 3)), 3)
     with pytest.raises(SeriesTooShort):
-        temporal_embed(series(np.ones((1, 3))), 0)
+        embed(np.ones((1, 3)), 0)
 
 
 def test_embed_reconstruction():
@@ -110,7 +116,8 @@ def test_embed_reconstruction():
         T = int(rng.integers(6, 30))
         n_lags = int(rng.integers(1, 5))
         x = rng.random((W, T))
-        emb = temporal_embed(series(x), n_lags).matrix.toarray()
+        emb = embed(x, n_lags)
+        assert np.array_equal(embed_columns(x, n_lags), emb)
         for j in range(T - n_lags):
             col = emb[:, j].reshape(n_lags, W)
             # block b of column j is x(:, j + b), i.e. lag n_lags - b
@@ -122,24 +129,24 @@ def test_embed_strict_causality():
     rng = np.random.default_rng(5)
     x = rng.random((2, 20))
     n_lags = 4
-    base = temporal_embed(series(x), n_lags).matrix.toarray()
+    base = embed(x, n_lags)
     for t_mod in range(n_lags, 20):
         x2 = x.copy()
         x2[:, t_mod:] = 99.0
-        emb2 = temporal_embed(series(x2), n_lags).matrix.toarray()
+        emb2 = embed(x2, n_lags)
         same = t_mod - n_lags + 1  # columns fully before the modification
         assert np.array_equal(base[:, :same], emb2[:, :same])
 
 
 # ---------------------------------------------------------------------------
-# pool trimming
+# the trimmed pool of the feed data the pipeline fits on
 
 def test_trim_pool_drops_head():
     c = corpus_from([np.arange(8.0).reshape(2, 4), np.ones((2, 4))])
-    pooled = pool_excluding(c, "f1")
-    trimmed = trim_pool(pooled, 2)
-    assert trimmed.shape == (2, 2)
-    assert np.array_equal(trimmed.toarray(), np.arange(8.0).reshape(2, 4)[:, 2:])
+    data = _FeedData(c.feeds[1].matrix, pool_excluding(c, "f1"),
+                     HyperGrid(lags=(1, 2), kappas=(1.0,)), 2, 2)
+    assert data.pool_trim.shape == (2, 2)
+    assert np.array_equal(data.pool_trim, np.arange(8.0).reshape(2, 4)[:, 2:])
 
 
 def test_trim_pool_alignment_with_embedding():
@@ -148,19 +155,22 @@ def test_trim_pool_alignment_with_embedding():
     y = rng.random((2, 12))
     c = corpus_from([x, y])
     n_lags = 3
-    emb = temporal_embed(c.feeds[0], n_lags)
-    trimmed = trim_pool(pool_excluding(c, "f0"), n_lags).toarray()
-    assert emb.matrix.shape[1] == trimmed.shape[1]
-    for j in range(trimmed.shape[1]):
+    data = _FeedData(c.feeds[0].matrix, pool_excluding(c, "f0"),
+                     HyperGrid(lags=(n_lags,), kappas=(1.0,)), n_lags, 9)
+    cols = np.arange(12 - n_lags)
+    emb = _cols(data.emb[n_lags], cols)
+    trimmed = _cols(data.pool_trim, cols)
+    assert np.array_equal(emb, embed(x, n_lags))
+    for j in cols:
         t = j + n_lags
         assert np.array_equal(trimmed[:, j], y[:, t])
-        assert np.array_equal(emb.matrix.toarray()[:, j].reshape(n_lags, 2).T,
-                              x[:, t - n_lags:t])
+        assert np.array_equal(emb[:, j].reshape(n_lags, 2).T, x[:, t - n_lags:t])
 
 
 def test_trim_pool_too_short():
     c = corpus_from([np.ones((1, 3)), np.ones((1, 3))])
-    with pytest.raises(SeriesTooShort):
-        trim_pool(pool_excluding(c, "f0"), 3)
-    with pytest.raises(SeriesTooShort):
-        trim_pool(pool_excluding(c, "f0"), 0)
+    grid = HyperGrid(lags=(3,), kappas=(1.0,))
+    with pytest.raises(TooShortForFolds):
+        analyze(c, grid, n_folds=2)  # trimming 3 leaves no time axis
+    with pytest.raises(SeriesTooShort, match="trim 2 is below the largest lag 3"):
+        _FeedData(c.feeds[0].matrix, pool_excluding(c, "f0"), grid, 2, 2)

@@ -16,7 +16,6 @@ from ctrend import (
     generate_toy,
     lsa_baseline,
     lsa_direction,
-    nested_select,
     pearson_correlation,
     plan_folds,
     pool_excluding,
@@ -176,6 +175,12 @@ def test_hypergrid_rejects_repeated_values(lags, kappas, message):
 # ---------------------------------------------------------------------------
 # selection
 
+def _fold_data(x, pool, grid, trim, fold, n_inner):
+    """The feed data nested selection builds for ``fold``'s training block."""
+    return _FeedData(x, pool, grid, trim,
+                     _fewest_train([fold.train_indices], n_inner, trim))
+
+
 def test_select_best_tie_breaks():
     grid = HyperGrid(lags=(1, 2), kappas=(0.1, 1.0))
     scores = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -189,54 +194,49 @@ def test_select_best_tie_breaks():
 def test_nested_select_single_point():
     c = generate_toy(ToyConfig(T=300, seed=0))
     grid = HyperGrid(lags=(3,), kappas=(1e-2,))
-    pool = pool_excluding(c, "X").matrix
-    plan = plan_folds(c.T - 3, 5, 3)
-    lag, kappa, scores = nested_select(c.feed("X").matrix, pool,
-                                       plan.folds[0].train_indices, grid, 3,
-                                       n_inner=5)
+    fold = plan_folds(c.T - 3, 5, 3).folds[0]
+    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X"), grid, 3,
+                      fold, 5)
+    lag, kappa, scores = _nested_select(data, fold.train_indices, 5)
     assert (lag, kappa) == (3, 1e-2)
     assert scores.shape == (1, 1)
 
 
 def test_nested_select_covers_true_lag():
     c = generate_toy(ToyConfig(T=800, seed=1))
-    pool = pool_excluding(c, "X").matrix
-    plan = plan_folds(c.T - SMALL_GRID.max_lag, 5, SMALL_GRID.max_lag)
-    lag, _, _ = nested_select(c.feed("X").matrix, pool,
-                              plan.folds[0].train_indices, SMALL_GRID,
-                              SMALL_GRID.max_lag, n_inner=5)
+    trim = SMALL_GRID.max_lag
+    fold = plan_folds(c.T - trim, 5, trim).folds[0]
+    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID,
+                      trim, fold, 5)
+    lag, _, _ = _nested_select(data, fold.train_indices, 5)
     assert lag >= 3
 
 
 def test_nested_select_rejects_trim_below_largest_lag():
     c = generate_toy(ToyConfig(T=300, seed=0))
-    pool = pool_excluding(c, "X").matrix
     with pytest.raises(SeriesTooShort, match="trim 2 .* largest lag 4"):
-        nested_select(c.feed("X").matrix, pool, np.arange(300), SMALL_GRID,
-                      trim=2)
+        _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID, 2,
+                  _fewest_train([np.arange(300)], 10, 2))
 
 
 def test_nested_select_too_short():
     c = generate_toy(ToyConfig(T=300, seed=0))
-    pool = pool_excluding(c, "X").matrix
-    with pytest.raises(TooShortForFolds):
-        nested_select(c.feed("X").matrix, pool, np.arange(40), SMALL_GRID,
-                      SMALL_GRID.max_lag, n_inner=10)
+    # min_train: any value; the toy feed's widest lag (24 rows) builds no Gram
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID,
+                     SMALL_GRID.max_lag, 40)
+    with pytest.raises(TooShortForFolds):  # no inner plan fits 40 columns
+        _nested_select(data, np.arange(40), 10)
 
 
 # ---------------------------------------------------------------------------
 # test correlation and route consistency
 
-def _fold_data(x, pool, grid, trim, fold, n_inner):
-    """The feed data nested selection builds for ``fold``'s training block."""
-    return _FeedData(x, pool, grid, trim,
-                     _fewest_train([fold.train_indices], n_inner, trim))
 
 
 def test_correlation_noiseless_limit():
     c = generate_toy(ToyConfig(T=1200, gamma=0.999999, seed=2))
     fold = plan_folds(c.T - 4, 5, 4).folds[2]
-    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X"),
                       SMALL_GRID, 4, fold, 5)
     out = _fit_feed_fold(data, fold, 2, 5)
     assert out.correlation > 0.99
@@ -252,7 +252,7 @@ def test_correlation_via_kernel_blocks_matches_fold():
     """The dual (kernel) route reproduces the pipeline's fold score."""
     c = generate_toy(ToyConfig(T=400, seed=3))
     grid = HyperGrid(lags=(3,), kappas=(1e-2,))
-    pool = pool_excluding(c, "X").matrix
+    pool = pool_excluding(c, "X")
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[1]
     data = _fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5)
@@ -261,7 +261,7 @@ def test_correlation_via_kernel_blocks_matches_fold():
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
-    m = solve_kcca(kx, ky, 1e-2, n_lags=3)
+    m = solve_kcca(kx, ky, 1e-2)
     c_kernel = pearson_correlation(*project(
         m, center_cross(emb[:, tr].T @ emb[:, te], mx),
         center_cross(pool_trim[:, tr].T @ pool_trim[:, te], my)))
@@ -281,7 +281,7 @@ def test_fold_fit_dual_route_matches_kernel_solve():
                     + 0.3 * rng.standard_normal((40, 100)))
     c = corpus_from(mats)
     grid = HyperGrid(lags=(2,), kappas=(1e-2,))
-    pool = pool_excluding(c, "f0").matrix
+    pool = pool_excluding(c, "f0")
     plan = plan_folds(c.T - 2, 4, 2)
     fold = plan.folds[1]
     assert 40 * 2 > len(fold.train_indices)  # forces the dual route
@@ -292,7 +292,7 @@ def test_fold_fit_dual_route_matches_kernel_solve():
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
-    m = solve_kcca(kx, ky, 1e-2, n_lags=2)
+    m = solve_kcca(kx, ky, 1e-2)
     c_kernel = pearson_correlation(*project(
         m, center_cross(emb[:, tr].T @ emb[:, te], mx),
         center_cross(pool_trim[:, tr].T @ pool_trim[:, te], my)))
@@ -319,7 +319,7 @@ def test_degenerate_projection_scored_zero():
     c = corpus_from(mats)
     grid = HyperGrid(lags=(1,), kappas=(1e-2,))
     fold = plan_folds(59, 4, 1).folds[0]
-    data = _fold_data(c.feed("f0").matrix, pool_excluding(c, "f0").matrix,
+    data = _fold_data(c.feed("f0").matrix, pool_excluding(c, "f0"),
                       grid, 1, fold, 4)
     out = _fit_feed_fold(data, fold, 0, 4)
     assert out.degenerate
@@ -664,7 +664,7 @@ def test_analyze_peak_memory_does_not_grow_with_feed_count():
 def test_emit_trend_unit_energy_and_consistency():
     c = generate_toy(ToyConfig(T=600, seed=17))
     grid = HyperGrid(lags=(3,), kappas=(1e-2,))
-    pool = pool_excluding(c, "X").matrix
+    pool = pool_excluding(c, "X")
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[2]
     out = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5),
@@ -694,7 +694,7 @@ def test_training_blind_to_test_block():
     c = generate_toy(ToyConfig(T=500, seed=19))
     grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2, 1.0))
     trim = grid.max_lag
-    pool = pool_excluding(c, "X").matrix
+    pool = pool_excluding(c, "X")
     plan = plan_folds(c.T - trim, 5, trim)
     for fold in plan.folds[:2]:
         base = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, trim,
@@ -706,7 +706,7 @@ def test_training_blind_to_test_block():
         for m in corrupted:
             m[:, test_times] = rng.standard_normal((m.shape[0], len(test_times)))
         c2 = corpus_from(corrupted, ids=[f.feed_id for f in c.feeds])
-        data2 = _fold_data(c2.feed("X").matrix, pool_excluding(c2, "X").matrix,
+        data2 = _fold_data(c2.feed("X").matrix, pool_excluding(c2, "X"),
                            grid, trim, fold, 5)
         redo = _fit_feed_fold(data2, fold, fold.test_indices[0], 5)
         assert np.array_equal(base.model.alpha, redo.model.alpha)
@@ -742,7 +742,7 @@ def _batched_tables(data, plan):
 
 def test_batched_scorer_matches_generic_on_toy():
     c = generate_toy(ToyConfig(T=800, seed=1))
-    data, plan = _scoring_data(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+    data, plan = _scoring_data(c.feed("X").matrix, pool_excluding(c, "X"),
                                SMALL_GRID, 5, 5, outer=2)
     batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
     assert np.abs(batched - generic).max() < 1e-12
@@ -753,7 +753,7 @@ def test_batched_scorer_matches_generic_on_leader():
     c = generate_leader(LeaderConfig(F=5, W=12, T=2000, seed=3))
     grid = HyperGrid(lags=tuple(range(1, 7)))
     data, plan = _scoring_data(c.feed("leader").matrix,
-                               pool_excluding(c, "leader").matrix, grid, 10, 10,
+                               pool_excluding(c, "leader"), grid, 10, 10,
                                outer=4)
     batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
     assert np.abs(batched - generic).max() < 1e-12
@@ -841,7 +841,7 @@ def test_nested_select_splits_primal_folds_into_bounded_batches(monkeypatch):
     one."""
     import ctrend.evaluation as ev
     c = generate_toy(ToyConfig(T=600, seed=5))
-    data, _ = _scoring_data(c.feed("X").matrix, pool_excluding(c, "X").matrix,
+    data, _ = _scoring_data(c.feed("X").matrix, pool_excluding(c, "X"),
                             SMALL_GRID, 5, 5, outer=1)
     train = plan_folds(600 - SMALL_GRID.max_lag, 5, SMALL_GRID.max_lag
                        ).folds[1].train_indices
@@ -866,7 +866,7 @@ def test_fold_moments_match_two_pass_and_ignore_held_out_columns():
     grid = SMALL_GRID
     top = trim = grid.max_lag
     x = c.feed("X").matrix.toarray()
-    pool = pool_excluding(c, "X").matrix.toarray()
+    pool = pool_excluding(c, "X").toarray()
     data, plan = _scoring_data(x, pool, grid, 5, 5, outer=3)
     ids = list(range(len(plan.folds)))
     means, scatter = _fold_moments(data, plan, ids)
@@ -955,7 +955,7 @@ def test_leader_shaped_feed_builds_no_gram(monkeypatch):
     c = generate_leader(LeaderConfig(F=4, W=6, T=300, seed=5))
     grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
     plan = plan_folds(c.T - 3, 3, 3)
-    data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader").matrix,
+    data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader"),
                      grid, 3, _fewest_train(
                          [f.train_indices for f in plan.folds], 3, 3))
     assert data._grams == {}

@@ -7,15 +7,13 @@ from ctrend import (
     ToyConfig,
     center_cross,
     center_kernel,
+    embed_columns,
     generate_toy,
     linear_kernel,
     pearson_correlation,
     pool_excluding,
     project,
-    recover_primal,
     solve_kcca,
-    temporal_embed,
-    trim_pool,
 )
 from ctrend.exceptions import (
     BadKappa,
@@ -24,6 +22,7 @@ from ctrend.exceptions import (
     SingularRhs,
     TooFewSamples,
 )
+from ctrend.kcca import _SideFactor, _fit_pair, _lag_columns
 from oracles import generalized_eig_top, input_space_cca, naive_gram
 
 
@@ -36,8 +35,8 @@ def centered_pair(x, y):
 def toy_matrices(T=500, seed=0, n_lags=5, gamma=0.9):
     """Embedded feed X and trimmed pool for the two-feed toy corpus."""
     c = generate_toy(ToyConfig(T=T, gamma=gamma, seed=seed))
-    emb = temporal_embed(c.feed("X"), n_lags).matrix.toarray()
-    pool = trim_pool(pool_excluding(c, "X"), n_lags).toarray()
+    emb = embed_columns(c.feed("X").matrix, n_lags).toarray()
+    pool = pool_excluding(c, "X")[:, n_lags:].toarray()
     return emb, pool
 
 
@@ -139,7 +138,7 @@ def test_white_noise_small_lambda_matches_oracle():
 def test_toy_training_lambda():
     emb, pool = toy_matrices()
     kx, ky, _, _ = centered_pair(emb, pool)
-    m = solve_kcca(kx, ky, 1e-3, n_lags=5)
+    m = solve_kcca(kx, ky, 1e-3)
     assert m.lam >= 0.8
     assert abs(m.lam - input_space_cca(emb, pool)) < 1e-3
 
@@ -271,35 +270,40 @@ def test_toy_holdout_correlation():
 # ---------------------------------------------------------------------------
 # primal recovery
 
+def _fit_sides(x, y, kappa):
+    """The fold fit's pair on all columns of x and y, as ``analyze`` runs
+    it: the model and both sides' primal weights."""
+    sx = _SideFactor(x, np.arange(x.shape[1]), lambda: linear_kernel(x))
+    sy = _SideFactor(y, np.arange(y.shape[1]), lambda: linear_kernel(y))
+    model, a, b = _fit_pair(sx, sy, kappa)
+    return model, sx.primal_weight(a), sy.primal_weight(b)
+
+
 def test_primal_dual_projection_identity():
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((6, 80))
     y = rng.standard_normal((4, 80))
-    kx, ky, _, _ = centered_pair(x, y)
-    m = solve_kcca(kx, ky, 1e-3, n_lags=2)
-    w = recover_primal(m, x, y)
-    w_flat = np.concatenate([w.w_x[:, ::-1].T.ravel()])  # back to block order
-    u_primal = w_flat @ x
-    u_dual = m.alpha @ (x.T @ x)
-    scale = np.abs(u_dual).max()
-    assert np.abs(u_primal - u_dual).max() < 1e-8 * scale
-    v_primal = w.w_y @ y
-    v_dual = m.beta @ (y.T @ y)
-    assert np.abs(v_primal - v_dual).max() < 1e-8 * np.abs(v_dual).max()
+    for d in (6, 120):  # the feed side on the primal, then the dual route
+        x = rng.standard_normal((d, 80))
+        m, w_x, w_y = _fit_sides(x, y, 1e-3)
+        kx, ky, _, _ = centered_pair(x, y)
+        assert np.allclose(m.alpha, solve_kcca(kx, ky, 1e-3).alpha, atol=1e-8)
+        u_primal = w_x @ x
+        u_dual = m.alpha @ (x.T @ x)
+        assert np.abs(u_primal - u_dual).max() < 1e-8 * np.abs(u_dual).max()
+        v_primal = w_y @ y
+        v_dual = m.beta @ (y.T @ y)
+        assert np.abs(v_primal - v_dual).max() < 1e-8 * np.abs(v_dual).max()
 
 
 def test_toy_weight_structure():
     # vocabulary rows: Phone, Volcano, Airplane, Cloud, iPad, Ash
-    c = generate_toy(ToyConfig(T=2000, seed=11))
     n_lags = 5
-    emb = temporal_embed(c.feed("X"), n_lags)
-    pool = trim_pool(pool_excluding(c, "X"), n_lags)
-    kx, ky, _, _ = centered_pair(emb.matrix.toarray(), pool.toarray())
-    m = solve_kcca(kx, ky, 1e-3, n_lags=n_lags)
-    w = recover_primal(m, emb, pool)
-    top2 = set(np.argsort(np.abs(w.w_y))[-2:])
+    emb, pool = toy_matrices(T=2000, seed=11, n_lags=n_lags)
+    _, w_x, w_y = _fit_sides(emb, pool, 1e-3)
+    w_x = _lag_columns(w_x, n_lags)
+    top2 = set(np.argsort(np.abs(w_y))[-2:])
     assert top2 == {3, 5}  # Cloud and Ash carry the pooled trend
-    volcano = np.abs(w.w_x[1])
+    volcano = np.abs(w_x[1])
     assert int(np.argmax(volcano)) + 1 == 3  # strongest at the planted lag
 
 

@@ -84,12 +84,13 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(case=feed_cases(), sparse_input=st.booleans())
-def test_dual_gram_is_kernel_of_materialized_row_block(case, sparse_input):
+@given(case=feed_cases(), as_input=st.sampled_from([np.asarray, sp.csc_matrix,
+                                                    sp.csr_matrix]))
+def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
     """Each Gram is the kernel of the old row block, whose type and memory
     layout its input keeps too (BLAS may round differently per layout)."""
     x, pool, grid, trim, limit = case
-    x_in = sp.csc_matrix(x) if sparse_input else x
+    x_in = as_input(x)
     if x.shape[1] - trim < 2:
         return  # a Gram needs two samples
     seen = {}  # kernel inputs by row count, which differs per lag
@@ -103,13 +104,81 @@ def test_dual_gram_is_kernel_of_materialized_row_block(case, sparse_input):
 
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit), \
             mock.patch.object(evaluation, "linear_kernel", spy):
-        # the smallest lag's Gram is built on demand, the others with the data
+        # every lag is wider than min_train, so every Gram is built
         data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim,
-                         x.shape[0] * min(grid.lags))
+                         x.shape[0] * min(grid.lags) - 1)
         old = _materialized(x_in, grid, trim)
         for lag in grid.lags:
             assert np.array_equal(data.gram_x(lag), linear_kernel(old[lag]))
             assert seen[old[lag].shape[0]] == layout(old[lag])
+
+
+# ---------------------------------------------------------------------------
+# blocked folds and their training moments on gapped axes
+
+@st.composite
+def gapped_plans(draw, max_lags=5):
+    """A sorted time axis with random holes (as a nested plan over a
+    training block sees it), a fold count and a lag count it can hold."""
+    n_folds, n_lags = draw(st.integers(2, 6)), draw(st.integers(1, max_lags))
+    n = draw(st.integers(n_folds * (n_lags + 2), n_folds * (n_lags + 2) + 40))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, n_lags, n_lags + 1, 9]),
+                          min_size=n - 1, max_size=n - 1))
+    axis = np.cumsum([draw(st.integers(0, 3))] + steps)
+    return axis, n_folds, n_lags
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=gapped_plans())
+def test_plan_folds_partitions_a_gapped_axis(case):
+    axis, n_folds, n_lags = case
+    plan = evaluation.plan_folds(axis, n_folds, n_lags)
+    assert np.array_equal(plan.axis, axis)
+    assert np.array_equal(np.concatenate([f.test_indices for f in plan.folds]),
+                          axis)  # contiguous test blocks tile the axis in order
+    sizes = [len(f.test_indices) for f in plan.folds]
+    assert max(sizes) - min(sizes) <= 1
+    for fold in plan.folds:
+        hi = fold.test_indices[-1]
+        assert np.array_equal(fold.discarded_indices,
+                              axis[(axis > hi) & (axis <= hi + n_lags)])
+        parts = np.concatenate([fold.test_indices, fold.train_indices,
+                                fold.discarded_indices])
+        assert len(parts) == len(axis)
+        assert np.array_equal(np.sort(parts), axis)  # disjoint, and cover it
+        assert np.all(np.diff(fold.train_indices) > 0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=gapped_plans(max_lags=3), shape=st.tuples(st.integers(1, 3),
+                                                     st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1), picks=st.data())
+def test_fold_moments_equal_two_pass_over_training_columns(case, shape, seed,
+                                                           picks):
+    """Segment moments give each fold's training mean and scatter of the
+    lag-max embedding stacked on the trimmed pool, as a two-pass sum."""
+    axis, n_folds, trim = case
+    w, w_pool = shape
+    lags = tuple(range(1, trim + 1))
+    rng = np.random.default_rng(seed)
+    t = int(axis[-1]) + 1 + trim
+    x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.7)
+    pool = 3.0 + rng.standard_normal((w_pool, t))  # a mean far from zero
+    plan = evaluation.plan_folds(axis, n_folds, trim)
+    ids = picks.draw(st.lists(st.integers(0, n_folds - 1), min_size=1,
+                              unique=True))
+    # min_train: no lag is wider than the fewest training columns (no Gram)
+    data = _FeedData(x, pool, HyperGrid(lags=lags, kappas=(1.0,)), trim,
+                     w * trim)
+    means, scatter = evaluation._fold_moments(data, plan, ids)
+    z = np.vstack((embed_columns(x, trim), pool[:, trim:]))
+    for f, i in enumerate(ids):
+        zt = z[:, plan.folds[i].train_indices]
+        mu = zt.mean(axis=1)
+        direct = (zt - mu[:, None]) @ (zt - mu[:, None]).T
+        assert np.allclose(means[f], mu, rtol=0, atol=1e-12 * np.abs(mu).max())
+        assert np.allclose(scatter[f], direct, rtol=0,
+                           atol=1e-12 * max(np.abs(direct).max(), 1.0))
 
 
 # ---------------------------------------------------------------------------
