@@ -316,6 +316,21 @@ def _fromisoformat(s: str) -> datetime:
     return datetime.fromisoformat(s)
 
 
+def _json_type(value) -> str:
+    """The JSON type name of a decoded value, for error messages."""
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            list: "array", dict: "object"}.get(type(value), "null")
+
+
+def _check_strings(key: str, value) -> None:
+    """Raise ValueError unless ``value`` is a JSON array of strings."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be an array of strings, got {_json_type(value)}")
+    for i, v in enumerate(value):
+        if not isinstance(v, str):
+            raise ValueError(f"{key}[{i}] must be a string, got {_json_type(v)}")
+
+
 def _parse_rfc3339(s: str) -> datetime:
     try:
         dt = _fromisoformat(s)
@@ -419,6 +434,9 @@ def load_corpus(directory: str | Path) -> Corpus:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise FormatError(f"cannot read corpus meta {meta_path}: {e}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"bad corpus meta {meta_path}: expected a JSON object, "
+                          f"got {_json_type(meta)}")
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(
@@ -437,6 +455,10 @@ def load_corpus(directory: str | Path) -> Corpus:
                              f"got {meta['bin_hours']!r}")
         if T != meta["T"] or T < 1:  # int() truncates 12.7 and parses "12"
             raise ValueError(f"T must be a positive integer, got {meta['T']!r}")
+        _check_strings("vocabulary", meta["vocabulary"])
+        _check_strings("feeds", feed_ids)
+        if not isinstance(meta["t0"], str):
+            raise ValueError(f"t0 must be a string, got {_json_type(meta['t0'])}")
         # every feed-independent check of validate() runs on the meta alone
         corpus = Corpus(Vocabulary(meta["vocabulary"]), _parse_rfc3339(meta["t0"]),
                         bin_hours, T, [], normalization=meta["normalization"],
@@ -491,6 +513,10 @@ def read_documents_jsonl(path: str | Path) -> Iterator[Document]:
                 text = obj["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as e:
                 raise FormatError(f"malformed document at line {lineno}: {e}") from None
+            for key, value in (("feed", feed), ("timestamp", ts), ("text", text)):
+                if not isinstance(value, str):
+                    raise FormatError(f"malformed document at line {lineno}: {key!r} "
+                                      f"must be a string, got {_json_type(value)}")
             try:
                 yield Document(feed, _parse_rfc3339(ts), text)
             except (FormatError, ValueError) as e:

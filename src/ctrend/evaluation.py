@@ -20,16 +20,16 @@ wider than the fold's training set) are scored in memory-bounded batches
 from segment moments (:func:`_score_fold_primal`); the others are scored
 one at a time on side factors (:func:`_score_fold_generic`).
 
-:func:`analyze` runs its tasks feed-major: each feed's outer folds, then
-its baseline and shuffle control. A process holds one feed's working set
-at a time (its pool, dense copies of the feed and pool, and Grams):
-built at the feed's first task, dropped before the next feed's is built
-and when ``analyze`` returns. Peak memory is one working set whatever the
-number of feeds; ``jobs`` worker processes hold up to one each. All
-randomness is confined to the shuffle control, with per-task seeds
-derived from the master seed, the feed id and the task purpose; given
-identical inputs the whole analysis is deterministic regardless of
-worker count.
+:func:`analyze` runs stateless tasks, feed-major: each feed's outer folds
+in ``min(jobs, n_folds)`` contiguous runs, then its shuffle control. A
+task builds the feed's working set that it fits on (its pool, dense
+copies of the feed and pool, and Grams), and the set is dropped when the
+task returns; the feed's first run also scores the baseline on it. So a
+process holds one working set at a time, whatever the number of feeds,
+and ``jobs`` worker processes hold up to one each. All randomness is
+confined to the shuffle control, with per-task seeds derived from the
+master seed, the feed id and the task purpose; given identical inputs
+the whole analysis is deterministic regardless of worker count.
 """
 
 from __future__ import annotations
@@ -502,8 +502,7 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
     except DegenerateProjection:
         return FoldOutcome(fold_index, lag, kappa, 0.0, True, None, None, None,
                            [], inner_scores)
-    model, a, b = _fit_pair(sx, sy, kappa, n_lags=lag,
-                            train_indices=fold.train_indices)
+    model, a, b = _fit_pair(sx, sy, kappa)
 
     degenerate = False
     try:
@@ -695,49 +694,38 @@ def derive_seed(master: int, feed_id: str, fold: int, purpose: str
 
 
 _CTX: dict = {}
-# the working set of at most one feed: {feed_id: _FeedData}
-_FEED_CACHE: dict = {}
 
 
 def _init_worker(context):
-    global _CTX, _FEED_CACHE
+    global _CTX
     _CTX = context
-    _FEED_CACHE = {}
 
 
-def _feed_data(feed_id: str) -> _FeedData:
-    """The feed's working set: its pool, dense copies of the feed and pool,
-    and Grams. Another feed's is dropped before this one is built."""
-    if feed_id not in _FEED_CACHE:
-        _FEED_CACHE.clear()
-        corpus = _CTX["corpus"]
-        _FEED_CACHE[feed_id] = _FeedData(corpus.feed(feed_id).matrix,
-                                         pool_excluding(corpus, feed_id),
-                                         _CTX["grid"], _CTX["trim"],
-                                         _CTX["min_train"])
-    return _FEED_CACHE[feed_id]
+def _fit_run(ctx: dict, feed_id: str, folds: range, with_lsa: bool):
+    """Fit outer folds ``folds`` of one feed, and with ``with_lsa`` score
+    its baseline, on a working set built here and dropped on return."""
+    corpus, plan = ctx["corpus"], ctx["plan"]
+    data = _FeedData(corpus.feed(feed_id).matrix, pool_excluding(corpus, feed_id),
+                     ctx["grid"], ctx["trim"], ctx["min_train"])
+    outcomes = [_fit_feed_fold(data, plan.folds[i], i, ctx["n_inner"])
+                for i in folds]
+    if not with_lsa:
+        return outcomes, None
+    return outcomes, lsa_baseline(data.x_raw, data.pool_raw, plan,
+                                  ctx["grid"].lags, ctx["trim"])
 
 
-def _run_task(task):
-    kind, fi = task[0], task[1]
-    ctx = _CTX
-    feed_id = ctx["feed_ids"][fi]
-    if kind == "ct":
-        fold_i = task[2]
-        return _fit_feed_fold(_feed_data(feed_id), ctx["plan"].folds[fold_i],
-                              fold_i, ctx["n_inner"])
-    if kind == "lsa":
-        data = _feed_data(feed_id)
-        return lsa_baseline(data.x_raw, data.pool_raw, ctx["plan"],
-                            ctx["grid"].lags, ctx["trim"])
-    if kind == "shuffle":
-        # the control builds its own _FeedData; the feed's last task, so
-        # its cached one goes first
-        _FEED_CACHE.clear()
-        return shuffle_control(ctx["corpus"], feed_id,
-                               derive_seed(ctx["seed"], feed_id, 0, "shuffle"),
-                               ctx["grid"], ctx["n_folds"], ctx["n_inner"])
-    raise ValueError(f"unknown task kind {kind!r}")
+def _shuffle_run(ctx: dict, feed_id: str) -> list[FoldOutcome]:
+    return shuffle_control(ctx["corpus"], feed_id,
+                           derive_seed(ctx["seed"], feed_id, 0, "shuffle"),
+                           ctx["grid"], ctx["n_folds"], ctx["n_inner"])
+
+
+def _run_task(task, context=None):
+    """Call a task ``(function, *args)`` on the analysis context: the one
+    given, else the worker's (see ``_init_worker``)."""
+    fn, *args = task
+    return fn(_CTX if context is None else context, *args)
 
 
 def best_fold(outcomes, field=getattr):
@@ -825,9 +813,9 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     """Run the whole trend-setter pipeline over a corpus.
 
     Optionally restricts scoring to ``feed_ids`` (pools are always built
-    from the full corpus). ``jobs`` > 1 fans the per-(feed, fold) tasks
-    out to worker processes; the reduction order is fixed, so reports are
-    identical for any worker count.
+    from the full corpus). ``jobs`` > 1 fans the tasks out to worker
+    processes; the reduction order is fixed, so reports are identical for
+    any worker count.
     """
     corpus.validate()
     if corpus.F < 2:
@@ -850,7 +838,6 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
 
     context = {
         "corpus": corpus,
-        "feed_ids": feed_ids,
         "plan": plan,
         "grid": grid,
         "trim": trim,
@@ -860,33 +847,30 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
                                    n_inner, trim),
         "seed": seed,
     }
-    # feed-major, so a process holds one feed's working set at a time
-    # (see _feed_data); a worker takes tasks in order and so builds each
-    # feed's at most once
+    # feed-major: each feed's outer folds in min(jobs, n_folds) contiguous
+    # runs, the first also scoring the baseline, then its shuffle control
+    k = min(jobs, n_folds)
+    runs = [range(n_folds * r // k, n_folds * (r + 1) // k) for r in range(k)]
     tasks = []
-    for fi in range(len(feed_ids)):
-        tasks += [("ct", fi, fold_i) for fold_i in range(n_folds)]
-        if with_lsa:
-            tasks.append(("lsa", fi))
+    for feed_id in feed_ids:
+        tasks += [(_fit_run, feed_id, run, with_lsa and run.start == 0)
+                  for run in runs]
         if with_shuffle:
-            tasks.append(("shuffle", fi))
+            tasks.append((_shuffle_run, feed_id))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(context,)) as executor:
             results = list(executor.map(_run_task, tasks))
     else:
-        _init_worker(context)
-        try:
-            results = [_run_task(t) for t in tasks]
-        finally:
-            _init_worker({})
+        results = [_run_task(t, context) for t in tasks]
 
-    by_task = dict(zip(tasks, results))
+    results = iter(results)
     reports = []
     fold_outcomes: dict[str, list[FoldOutcome]] = {}
-    for fi, feed_id in enumerate(feed_ids):
-        outcomes = [by_task[("ct", fi, fold_i)] for fold_i in range(n_folds)]
+    for feed_id in feed_ids:
+        ran = [next(results) for _ in runs]
+        outcomes = [o for fits, _ in ran for o in fits]
         fold_outcomes[feed_id] = outcomes
         corrs = [o.correlation for o in outcomes]
         p25, p50, p75 = np.percentile(corrs, [25, 50, 75])
@@ -904,12 +888,9 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
             degenerate_folds=[o.fold for o in outcomes if o.degenerate],
         )
         if with_lsa:
-            scores, per_lag = by_task[("lsa", fi)]
-            report.lsa_fold_scores = scores
-            report.lsa_per_lag = per_lag
+            report.lsa_fold_scores, report.lsa_per_lag = ran[0][1]
         if with_shuffle:
-            report.shuffle_fold_scores = [
-                o.correlation for o in by_task[("shuffle", fi)]]
+            report.shuffle_fold_scores = [o.correlation for o in next(results)]
         reports.append(report)
 
     return AnalysisResult(n_folds, grid, seed, trim, n_inner, reports,

@@ -128,8 +128,6 @@ class KccaModel:
     lam: float
     eigenvalue: float
     kappa: float
-    n_lags: int | None = None
-    train_indices: np.ndarray | None = None
     side_norms: tuple[float, float] = (0.0, 0.0)
 
 
@@ -354,7 +352,7 @@ def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
     return s, u / sqrt_dx, v / sqrt_dy
 
 
-def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float, **model_fields
+def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float
               ) -> tuple[KccaModel, np.ndarray, np.ndarray]:
     """First canonical pair of two side factors at one kappa, as a model
     and the coefficient rows a, b in the sides' eigenbases. Sign: beta's
@@ -370,7 +368,7 @@ def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float, **model_fields
     norms = (float(np.linalg.norm(u - u.mean())),
              float(np.linalg.norm(v - v.mean())))
     model = KccaModel(sx.dual_coef(a), beta, pearson_correlation(u, v),
-                      float(lams[0]), kappa, side_norms=norms, **model_fields)
+                      float(lams[0]), kappa, side_norms=norms)
     return model, a, b
 
 

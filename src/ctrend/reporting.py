@@ -124,7 +124,7 @@ def build_models(result: AnalysisResult, corpus_hash: str) -> dict:
     for feed_id, outcomes in result.fold_outcomes.items():
         entries = []
         for o in outcomes:
-            test_positions = result.plan.folds[o.fold].test_indices
+            fold = result.plan.folds[o.fold]
             entry = {
                 "fold": o.fold,
                 "n_lags": o.n_lags,
@@ -139,8 +139,8 @@ def build_models(result: AnalysisResult, corpus_hash: str) -> dict:
                     "alpha": o.model.alpha,
                     "beta": o.model.beta,
                     "side_norms": list(o.model.side_norms),
-                    "train_positions": o.model.train_indices,
-                    "test_positions": test_positions,
+                    "train_positions": fold.train_indices,
+                    "test_positions": fold.test_indices,
                     "w_x": o.w_x,
                     "w_y": o.w_y,
                 })

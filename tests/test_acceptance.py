@@ -155,8 +155,8 @@ def test_criterion_04_lambda_is_training_correlation(toy_runs):
                 model = outcome.model
                 if model is None:
                     continue
-                tr = model.train_indices
-                emb = _cols(data.emb[model.n_lags], tr)
+                tr = run.plan.folds[outcome.fold].train_indices
+                emb = _cols(data.emb[outcome.n_lags], tr)
                 ac = emb - emb.mean(axis=1, keepdims=True)
                 yc = data.pool_trim[:, tr] \
                     - data.pool_trim[:, tr].mean(axis=1, keepdims=True)
@@ -223,17 +223,18 @@ def test_criterion_08_leak_freedom(toy_runs):
                             for f, m in zip(corpus.feeds, mats)],
                            synthetic=True)
         for feed_id in ("X", "Y"):
-            base = run.fold_outcomes[feed_id][fold_i].model
+            base_fit = run.fold_outcomes[feed_id][fold_i]
             data = _FeedData(corrupted.feed(feed_id).matrix,
                              pool_excluding(corrupted, feed_id),
                              run.grid, run.trim,
                              _fewest_train([fold.train_indices], run.n_inner,
                                            run.trim))
-            redo = _fit_feed_fold(data, fold, fold_i, run.n_inner).model
+            redo_fit = _fit_feed_fold(data, fold, fold_i, run.n_inner)
+            base, redo = base_fit.model, redo_fit.model
             if (np.array_equal(base.alpha, redo.alpha)
                     and np.array_equal(base.beta, redo.beta)
                     and base.lam == redo.lam and base.kappa == redo.kappa
-                    and base.n_lags == redo.n_lags):
+                    and base_fit.n_lags == redo_fit.n_lags):
                 identical += 1
         assert not set(fold.discarded_indices) & set(fold.train_indices)
     ok = identical == 2 * len(run.plan.folds)

@@ -125,6 +125,16 @@ def test_featurize_malformed_line_reported(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_featurize_names_a_numeric_feed_id(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"feed": 5, "timestamp": "2011-10-01T00:00:00Z", '
+                    '"text": "ok"}\n')
+    assert run(["featurize", "--docs", docs, "--out", tmp_path / "c"]) == 1
+    assert capsys.readouterr().err == ("error: malformed document at line 1: "
+                                       "'feed' must be a string, got number\n")
+    assert not (tmp_path / "c").exists()
+
+
 def test_featurize_empty_docs(tmp_path, capsys):
     docs = tmp_path / "docs.jsonl"
     docs.write_text("")

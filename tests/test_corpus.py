@@ -372,6 +372,12 @@ def test_load_header_only_is_all_zero_without_warning(tmp_path, recwarn):
     ("T", 0, "T must be a positive integer, got 0"),
     ("T", "12", "T must be a positive integer, got '12'"),
     ("T", float("inf"), "cannot convert float infinity to integer"),
+    ("t0", 5, "t0 must be a string, got number"),
+    ("feeds", [1, 2], "feeds[0] must be a string, got number"),
+    ("feeds", ["f0", None], "feeds[1] must be a string, got null"),
+    ("feeds", "XY", "feeds must be an array of strings, got string"),
+    ("vocabulary", "abcdef", "vocabulary must be an array of strings, got string"),
+    ("vocabulary", {"ash": 0}, "vocabulary must be an array of strings, got object"),
 ])
 def test_load_names_bad_meta(tmp_path, key, value, problem):
     d = store_corpus(_random_corpus(), tmp_path / "c")
@@ -381,6 +387,16 @@ def test_load_names_bad_meta(tmp_path, key, value, problem):
     with pytest.raises(FormatError) as exc:
         load_corpus(d)
     assert str(exc.value).startswith(f"bad corpus meta {d / 'meta.json'}: {problem}")
+
+
+def test_load_names_meta_that_is_not_an_object(tmp_path):
+    d = store_corpus(_random_corpus(), tmp_path / "c")
+    meta = json.loads((d / "meta.json").read_text())
+    (d / "meta.json").write_text(json.dumps(list(meta.items())))
+    with pytest.raises(FormatError) as exc:
+        load_corpus(d)
+    assert str(exc.value) == (f"bad corpus meta {d / 'meta.json'}: expected a "
+                              f"JSON object, got array")
 
 
 @pytest.mark.parametrize("value, problem", [
@@ -452,6 +468,24 @@ def test_read_documents_jsonl_reports_line(tmp_path):
     )
     with pytest.raises(FormatError, match="line 2"):
         list(read_documents_jsonl(p))
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("timestamp", 5, "number"), ("text", 5, "number"), ("text", None, "null"),
+    ("feed", 5, "number"), ("feed", ["a"], "array"), ("timestamp", None, "null"),
+])
+@pytest.mark.parametrize("alone", [True, False])
+def test_read_documents_jsonl_names_a_field_of_the_wrong_type(tmp_path, key, value,
+                                                               kind, alone):
+    good = {"feed": "a", "timestamp": "2011-10-01T00:30:00Z", "text": "ash"}
+    lines = [] if alone else [json.dumps(good)]
+    lines.append(json.dumps({**good, key: value}))
+    p = tmp_path / "docs.jsonl"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc:
+        list(read_documents_jsonl(p))
+    assert str(exc.value) == (f"malformed document at line {len(lines)}: "
+                              f"{key!r} must be a string, got {kind}")
 
 
 def test_document_requires_timezone():

@@ -623,7 +623,7 @@ def _three_feed_run(monkeypatch):
 
 def test_analyze_holds_one_feed_data_at_a_time(monkeypatch):
     alive_at_build, _ = _three_feed_run(monkeypatch)
-    # one cached build and one shuffle-control build per feed
+    # at --jobs 1, one run of all folds and one shuffle control per feed
     assert len(alive_at_build) == 6
     assert max(alive_at_build) == 1
 
@@ -636,10 +636,10 @@ def test_analyze_pools_once_per_feed_and_shuffle_task(monkeypatch):
 
 def test_analyze_leaves_no_worker_state():
     c = generate_toy(ToyConfig(T=300, seed=6))
-    analyze(c, HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=3, n_inner=3,
-            with_lsa=True, with_shuffle=True)
-    assert evaluation._FEED_CACHE == {}
-    assert evaluation._CTX == {}
+    for jobs in (1, 2):
+        analyze(c, HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=3, n_inner=3,
+                with_lsa=True, with_shuffle=True, jobs=jobs)
+        assert evaluation._CTX == {}
 
 
 def _dual_route_peak(n_feeds):

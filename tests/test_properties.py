@@ -22,7 +22,7 @@ from ctrend import (
 from ctrend.embedding import embed_columns
 from ctrend.evaluation import HyperGrid, _FeedData, _fit_feed_fold
 from ctrend.kcca import _cols, center_kernel, linear_kernel, solve_kcca
-from ctrend.reporting import dumps
+from ctrend.reporting import build_models, build_report, dumps
 
 from oracles import generalized_eig_top, json_text
 
@@ -295,7 +295,7 @@ def fold_cases(draw):
     return x, pool, lags, trim, plan, fold_i, n_inner
 
 
-_FIT_FIELDS = ("alpha", "beta", "lam", "eigenvalue", "n_lags", "kappa")
+_FIT_FIELDS = ("alpha", "beta", "lam", "eigenvalue", "kappa")
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -366,3 +366,43 @@ def test_fit_eigenvalue_matches_kernel_solve_and_oracle(case):
     reference = generalized_eig_top(kx, ky, kappa)
     assert abs(out.model.eigenvalue - solve_kcca(kx, ky, kappa).eigenvalue) < 1e-9
     assert abs(out.model.eigenvalue - reference) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# worker count
+
+@st.composite
+def jobs_cases(draw):
+    """A corpus of 2-3 feeds, primal (W = 3) or dual (W = 30), a fold count
+    of 2-4, a worker count above one and an optional one-feed filter."""
+    n_feeds, n_folds = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    w, t = draw(st.sampled_from([3, 30])), draw(st.integers(50, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    latent = rng.standard_normal(t + 1)
+    feeds = []
+    for i in range(n_feeds):  # feed0 leads the others by one step
+        m = np.outer(rng.standard_normal(w), latent[int(i == 0):][:t]) \
+            + rng.standard_normal((w, t))
+        m *= rng.random((w, t)) < 0.5
+        feeds.append(FeedSeries(f"feed{i}", sp.csc_matrix(m)))
+    corpus = Corpus(Vocabulary([f"w{j}" for j in range(w)]),
+                    datetime(2011, 10, 1, tzinfo=timezone.utc), 1.0, t, feeds,
+                    synthetic=True)
+    # n_folds + 1 (at most 4 workers) gives every fold a run of its own
+    jobs = draw(st.sampled_from(sorted({2, 3, min(n_folds + 1, 4)})))
+    feed_ids = draw(st.one_of(st.none(), st.sampled_from(corpus.feed_ids).map(
+        lambda f: [f])))
+    return corpus, n_folds, jobs, feed_ids
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(case=jobs_cases())
+def test_report_and_models_bytes_do_not_depend_on_jobs(case):
+    corpus, n_folds, jobs, feed_ids = case
+    kw = dict(grid=HyperGrid(lags=(1, 2), kappas=(1e-2, 1.0)), n_folds=n_folds,
+              n_inner=2, seed=3, feed_ids=feed_ids, with_lsa=True,
+              with_shuffle=True)
+    serial = evaluation.analyze(corpus, **kw)
+    parallel = evaluation.analyze(corpus, jobs=jobs, **kw)
+    for build in (build_report, build_models):
+        assert dumps(build(parallel, "h")) == dumps(build(serial, "h"))
