@@ -438,7 +438,7 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise FormatError(f"bad corpus meta {meta_path}: expected a JSON object, "
                           f"got {_json_type(meta)}")
     version = meta.get("format_version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSION or isinstance(version, bool):
         raise FormatError(
             f"unsupported corpus format: expected version {FORMAT_VERSION}, "
             f"found {version!r}"
@@ -448,7 +448,13 @@ def load_corpus(directory: str | Path) -> Corpus:
             raise FormatError(f"corpus meta is missing key {key!r}")
 
     feed_ids = meta["feeds"]
+    synthetic = meta.get("synthetic", False)
     try:
+        for key in ("bin_hours", "T"):  # float() and int() read true as 1
+            if isinstance(meta[key], bool):
+                raise ValueError(f"{key} must be a number, got boolean")
+        if not isinstance(synthetic, bool):
+            raise ValueError(f"synthetic must be a boolean, got {_json_type(synthetic)}")
         bin_hours, T = float(meta["bin_hours"]), int(meta["T"])
         if not (math.isfinite(bin_hours) and bin_hours > 0):
             raise ValueError(f"bin_hours must be finite and positive, "
@@ -462,7 +468,7 @@ def load_corpus(directory: str | Path) -> Corpus:
         # every feed-independent check of validate() runs on the meta alone
         corpus = Corpus(Vocabulary(meta["vocabulary"]), _parse_rfc3339(meta["t0"]),
                         bin_hours, T, [], normalization=meta["normalization"],
-                        synthetic=bool(meta.get("synthetic", False)))
+                        synthetic=synthetic)
         corpus.validate()
         _check_unique("feed ids", feed_ids)
     except (TypeError, ValueError, OverflowError) as e:

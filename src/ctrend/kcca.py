@@ -128,7 +128,6 @@ class KccaModel:
     lam: float
     eigenvalue: float
     kappa: float
-    side_norms: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass
@@ -365,10 +364,8 @@ def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float
         a, b, beta = -a, -b, -beta
     u = sx.train_projection(a)
     v = sy.train_projection(b)
-    norms = (float(np.linalg.norm(u - u.mean())),
-             float(np.linalg.norm(v - v.mean())))
     model = KccaModel(sx.dual_coef(a), beta, pearson_correlation(u, v),
-                      float(lams[0]), kappa, side_norms=norms)
+                      float(lams[0]), kappa)
     return model, a, b
 
 

@@ -8,9 +8,10 @@ row); anything else, such as NaN or infinity (written as ``null``), goes
 value by value.
 The per-feed CSVs (correlogram, trend, top words) carry a leading comment
 line embedding the tool version, seed and corpus hash that bind the
-output to its inputs. models.json stores per-fold dual coefficients and
-recovered weights, allowing the correlogram and top-word tables to be
-re-emitted later byte-for-byte.
+output to its inputs. models.json stores, per fold, the chosen (n_lags,
+kappa), the outcome (correlation, degenerate) and, for a fitted fold, the
+recovered weights w_x, w_y and the test positions: what the correlogram
+and top-word tables are re-emitted from, byte-for-byte.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ def build_models(result: AnalysisResult, corpus_hash: str) -> dict:
     for feed_id, outcomes in result.fold_outcomes.items():
         entries = []
         for o in outcomes:
-            fold = result.plan.folds[o.fold]
             entry = {
                 "fold": o.fold,
                 "n_lags": o.n_lags,
@@ -134,13 +134,7 @@ def build_models(result: AnalysisResult, corpus_hash: str) -> dict:
             }
             if o.model is not None:
                 entry.update({
-                    "lam": o.model.lam,
-                    "eigenvalue": o.model.eigenvalue,
-                    "alpha": o.model.alpha,
-                    "beta": o.model.beta,
-                    "side_norms": list(o.model.side_norms),
-                    "train_positions": fold.train_indices,
-                    "test_positions": fold.test_indices,
+                    "test_positions": result.plan.folds[o.fold].test_indices,
                     "w_x": o.w_x,
                     "w_y": o.w_y,
                 })

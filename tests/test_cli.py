@@ -304,6 +304,40 @@ def test_topwords_reemission_byte_identical(analyzed, tmp_path):
     assert target.read_bytes() == (out / "X" / "topwords.csv").read_bytes()
 
 
+# a fitted fold's entry: the chosen point, the outcome and what
+# re-emission reads
+_FITTED_KEYS = {"fold", "n_lags", "kappa", "correlation", "degenerate",
+                "w_x", "w_y", "test_positions"}
+# keys that models.json fold entries of earlier versions also held
+_LEGACY_KEYS = {"alpha", "beta", "train_positions", "side_norms", "lam",
+                "eigenvalue"}
+
+
+def test_models_fold_entries_hold_only_the_kept_keys(analyzed):
+    _, out = analyzed
+    entries = json.loads((out / "models.json").read_text())["feeds"]["X"]
+    assert [set(entry) for entry in entries] == [_FITTED_KEYS] * 5
+
+
+@pytest.mark.parametrize("command", ["correlogram", "topwords"])
+def test_reemission_reads_models_with_legacy_keys(analyzed, tmp_path, command):
+    corpus_dir, out = analyzed
+    models = json.loads((out / "models.json").read_text())
+    n_axis = 500 - models["trim"]
+    for entry in models["feeds"]["X"]:
+        train = sorted(set(range(n_axis)) - set(entry["test_positions"]))
+        entry.update(alpha=[0.5] * len(train), beta=[-0.25] * len(train),
+                     train_positions=train, side_norms=[1.0, 2.0],
+                     lam=entry["correlation"], eigenvalue=entry["correlation"])
+        assert set(entry) == _FITTED_KEYS | _LEGACY_KEYS
+    legacy = tmp_path / "models.json"
+    legacy.write_text(json.dumps(models))
+    target = tmp_path / f"{command}.csv"
+    assert run([command, "--models", legacy, "--corpus", corpus_dir,
+                "--feed", "X", "--out", target]) == 0
+    assert target.read_bytes() == (out / "X" / f"{command}.csv").read_bytes()
+
+
 def test_hash_mismatch_rejected(analyzed, tmp_path, capsys):
     _, out = analyzed
     other = tmp_path / "other"

@@ -275,6 +275,15 @@ def test_load_rejects_bad_version(tmp_path):
         load_corpus(d)
 
 
+def test_load_rejects_boolean_version(tmp_path):
+    d = store_corpus(_random_corpus(), tmp_path / "c")
+    meta = json.loads((d / "meta.json").read_text())
+    meta["format_version"] = True  # equal to 1 in Python
+    (d / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=r"expected version 1.*found True"):
+        load_corpus(d)
+
+
 def test_load_rejects_corrupt_meta(tmp_path):
     d = store_corpus(_random_corpus(), tmp_path / "c")
     (d / "meta.json").write_text("{ not json")
@@ -378,6 +387,10 @@ def test_load_header_only_is_all_zero_without_warning(tmp_path, recwarn):
     ("feeds", "XY", "feeds must be an array of strings, got string"),
     ("vocabulary", "abcdef", "vocabulary must be an array of strings, got string"),
     ("vocabulary", {"ash": 0}, "vocabulary must be an array of strings, got object"),
+    # float(true) and int(true) are 1, and bool("no") is True
+    ("bin_hours", True, "bin_hours must be a number, got boolean"),
+    ("T", True, "T must be a number, got boolean"),
+    ("synthetic", "no", "synthetic must be a boolean, got string"),
 ])
 def test_load_names_bad_meta(tmp_path, key, value, problem):
     d = store_corpus(_random_corpus(), tmp_path / "c")

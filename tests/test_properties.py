@@ -337,32 +337,40 @@ def test_fit_is_bit_identical_when_the_test_block_is_randomized(case, sparse_inp
 
 @st.composite
 def route_cases(draw):
-    """One fold of a feed with W below, near or above the fold's training
-    count n, with repeated rows, at one kappa."""
+    """One fold of a feed at lag L (trim L) with W below, near or above the
+    fold's training count n, so that W <= n < W * L occurs, with repeated
+    rows, at one kappa, from dense or sparse input."""
+    sparse_input = draw(st.booleans())
+    lag = draw(st.integers(1, 3))
     t = draw(st.integers(40, 70))
-    n = len(evaluation.plan_folds(t - 1, 2, 1).folds[0].train_indices)
+    n = len(evaluation.plan_folds(t - lag, 2, lag).folds[0].train_indices)
     w = draw(st.sampled_from([max(1, n // 8), n - 1, n, n + 1, 2 * n]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.standard_normal((max(1, w - w // 4), t))
     x = base[np.arange(w) % len(base)]  # the last quarter repeats rows
     pool = 0.5 * np.roll(x[:3], 1, axis=1).sum(axis=0) + rng.standard_normal((4, t))
     kappa = draw(st.sampled_from([1e-3, 1e-1, 1.0]))
-    return x, pool, t, kappa
+    return x, pool, t, lag, kappa, sparse_input
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(case=route_cases())
 def test_fit_eigenvalue_matches_kernel_solve_and_oracle(case):
-    x, pool, t, kappa = case
-    grid = HyperGrid(lags=(1,), kappas=(kappa,))
-    fold = evaluation.plan_folds(t - 1, 2, 1).folds[0]
-    data = _FeedData(x, pool, grid, 1,
-                     evaluation._fewest_train([fold.train_indices], 2, 1))
-    out = _fit_feed_fold(data, fold, 0, 2)
-    assert (out.n_lags, out.kappa) == (1, kappa)
-    emb = _cols(data.emb[1], fold.train_indices)
+    x, pool, t, lag, kappa, sparse_input = case
+    grid = HyperGrid(lags=(lag,), kappas=(kappa,))
+    fold = evaluation.plan_folds(t - lag, 2, lag).folds[0]
+    as_input = sp.csc_matrix if sparse_input else np.asarray
+    # sparse input stays sparse, so that the csc rows of the lag embedding
+    # and the sparse Gram run too
+    limit = 0 if sparse_input else evaluation._DENSE_LIMIT
+    with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
+        data = _FeedData(as_input(x), as_input(pool), grid, lag,
+                         evaluation._fewest_train([fold.train_indices], 2, lag))
+        out = _fit_feed_fold(data, fold, 0, 2)
+    assert (out.n_lags, out.kappa) == (lag, kappa)
+    emb = _cols(data.emb[lag], fold.train_indices)
     kx, _ = center_kernel(linear_kernel(emb))
-    ky, _ = center_kernel(linear_kernel(data.pool_trim[:, fold.train_indices]))
+    ky, _ = center_kernel(linear_kernel(_cols(data.pool_trim, fold.train_indices)))
     reference = generalized_eig_top(kx, ky, kappa)
     assert abs(out.model.eigenvalue - solve_kcca(kx, ky, kappa).eigenvalue) < 1e-9
     assert abs(out.model.eigenvalue - reference) < 1e-9
