@@ -5,8 +5,8 @@ Subcommands: ``synth`` (generate seeded synthetic corpora), ``featurize``
 emitting report.json, models.json and per-feed plot CSVs), and
 ``correlogram`` / ``topwords`` (re-emit plot CSVs from stored models).
 
-Exit codes: 0 success, 1 runtime or data error, 2 usage error. The seed
-falls back to the CT_SEED environment variable, then 0.
+Exit codes: 0 success, 1 runtime or data error, 2 usage error. The seed, a
+non-negative integer, falls back to the CT_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -93,11 +93,14 @@ def _hours(spec: str) -> timedelta:
     return width
 
 
-def _resolve_seed(value) -> int:
+def _resolve_seed(value, parser) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("CT_SEED")
-    return int(env) if env else 0
+    try:
+        return _at_least(0)(env) if env else 0
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"CT_SEED must be a non-negative integer, got {env!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--mode", choices=("toy", "leader"), required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--T", type=int, default=2000)
     p.add_argument("--gamma", type=float, default=0.9)
     p.add_argument("--lag", type=int, default=None,
@@ -144,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lags", default="1..10")
     p.add_argument("--kappas", default="1e-5..1e1")
     p.add_argument("--inner-folds", type=_at_least(2), default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("--feeds", default=None,
                    help="comma-separated feed filter (pools still use all feeds)")
     p.add_argument("--baseline-lsa", action="store_true")
@@ -166,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args, parser) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed, parser)
     try:
         if args.mode == "toy":
             cfg = ToyConfig(T=args.T, gamma=args.gamma,
@@ -248,7 +251,7 @@ def _cmd_analyze(args, parser) -> int:
         grid = HyperGrid(parse_lags(args.lags), parse_kappas(args.kappas))
     except ValueError as e:
         parser.error(str(e))
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed, parser)
     corpus = load_corpus(args.corpus)
     corpus_hash = corpus_content_hash(args.corpus)
     log.info("loaded corpus %s: %d feeds, W=%d, T=%d (%s)", args.corpus,

@@ -20,8 +20,9 @@ wider than the fold's training set) are scored in memory-bounded batches
 from segment moments (:func:`_score_fold_primal`); the others are scored
 one at a time on side factors (:func:`_score_fold_generic`).
 
-:func:`analyze` runs stateless tasks, feed-major: each feed's outer folds
-in ``min(jobs, n_folds)`` contiguous runs, then its shuffle control. A
+:func:`analyze` runs stateless tasks (:func:`_fit_run`), feed-major: each
+feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
+shuffle control, one run of all folds on the feed's permuted columns. A
 task builds the feed's working set that it fits on (its pool, dense
 copies of the feed and pool, and Grams), and the set is dropped when the
 task returns; the feed's first run also scores the baseline on it. So a
@@ -34,7 +35,6 @@ the whole analysis is deterministic regardless of worker count.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +45,7 @@ import scipy.sparse as sp
 from .corpus import Corpus
 from .embedding import embed_columns, pool_excluding
 from .exceptions import (
+    BadSeed,
     DegenerateProjection,
     DuplicateFeed,
     NotEnoughFeeds,
@@ -242,12 +243,12 @@ class _FeedData:
     ``emb[lag]`` is the lag's embedding on the axis trimmed by ``trim`` (at
     least the largest lag), read column by column from the raw feed
     (:class:`_LagEmbedding`); row block ``lag_rows[lag]`` of the lag-max
-    embedding. No embedding is kept. The Gram matrix of each lag wider
-    than ``min_train`` (the fewest training columns any fold will factor,
-    so every lag that can take the dual route) is built here, from one
-    transient lag-max embedding made from the caller's matrix before the
-    dense copies of the feed and pool exist. The pool's Gram is cached
-    lazily.
+    embedding. No embedding is kept. ``gram_x`` maps each lag wider than
+    ``min_train`` (the fewest training columns any fold will factor, so
+    every lag that can take the dual route) to its full-axis Gram matrix,
+    built from one transient lag-max embedding made from the caller's
+    matrix before the dense copies of the feed and pool exist. ``gram_y``,
+    the trimmed pool's, is built after them by the same rule, else None.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
@@ -259,7 +260,7 @@ class _FeedData:
         self.trim = trim
         self.grid = grid
         # a Gram needs two samples; no fold factors fewer
-        self._grams = _lag_grams(x_raw, trim, grid.max_lag,
+        self.gram_x = _lag_grams(x_raw, trim, grid.max_lag,
                                  [lag for lag in grid.lags
                                   if w * lag > min_train and t - trim >= 2])
         self.x_raw = _as_dense_if_small(x_raw)
@@ -271,11 +272,8 @@ class _FeedData:
         # lag L is the last W * L rows of the lag-max one (lag 1 is at the bottom)
         self.lag_rows = {lag: slice(w * (grid.max_lag - lag), w * grid.max_lag)
                          for lag in grid.lags}
-        self.gram_y = functools.cache(functools.partial(linear_kernel, self.pool_trim))
-
-    def gram_x(self, lag: int) -> np.ndarray:
-        """The lag's full-axis Gram matrix, built with the data."""
-        return self._grams[lag]
+        dual_y = self.pool_trim.shape[0] > min_train and t - trim >= 2
+        self.gram_y = linear_kernel(self.pool_trim) if dual_y else None
 
 
 def _fewest_train(outer_trains, n_inner: int, trim: int) -> int:
@@ -404,8 +402,7 @@ def _score_fold_generic(data: _FeedData, train_idx, test_idx,
     prep_y = sy.prepare_cols(test_idx)
     for li, lag in enumerate(grid.lags):
         try:
-            sx = _SideFactor(data.emb[lag], train_idx,
-                             functools.partial(data.gram_x, lag))
+            sx = _SideFactor(data.emb[lag], train_idx, data.gram_x.get(lag))
         except DegenerateProjection:
             continue  # counts as zero for every kappa
         _, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy), kappas)
@@ -496,8 +493,7 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
                    n_inner: int) -> FoldOutcome:
     lag, kappa, inner_scores = _nested_select(data, fold.train_indices, n_inner)
     try:
-        sx = _SideFactor(data.emb[lag], fold.train_indices,
-                         functools.partial(data.gram_x, lag))
+        sx = _SideFactor(data.emb[lag], fold.train_indices, data.gram_x.get(lag))
         sy = _SideFactor(data.pool_trim, fold.train_indices, data.gram_y)
     except DegenerateProjection:
         return FoldOutcome(fold_index, lag, kappa, 0.0, True, None, None, None,
@@ -598,18 +594,13 @@ def shuffle_control(corpus: Corpus, feed_id: str, seed, grid: HyperGrid | None =
 
     Only the feed's own matrix is permuted; the pool stays untouched, so
     any surviving correlation estimates the null score distribution.
+    ``seed`` is a non-negative integer or a ``SeedSequence``; analyze's
+    control for the feed is this with ``derive_seed(seed, feed_id, 0, "shuffle")``.
     """
-    grid = grid or HyperGrid()
-    rng = np.random.default_rng(seed)
-    perm = _sample_permutation(rng, corpus.T)
-    x_shuffled = corpus.feed(feed_id).matrix[:, perm]
-    pool = pool_excluding(corpus, feed_id)
-    trim = grid.max_lag
-    plan = plan_folds(corpus.T - trim, n_folds, trim)
-    data = _FeedData(x_shuffled, pool, grid, trim,
-                     _fewest_train([f.train_indices for f in plan.folds], n_inner, trim))
-    return [_fit_feed_fold(data, fold, i, n_inner)
-            for i, fold in enumerate(plan.folds)]
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
+    ctx = _context(corpus, grid or HyperGrid(), n_folds, n_inner)
+    return _fit_run(ctx, feed_id, range(n_folds), False, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +692,38 @@ def _init_worker(context):
     _CTX = context
 
 
-def _fit_run(ctx: dict, feed_id: str, folds: range, with_lsa: bool):
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadSeed(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _context(corpus: Corpus, grid: HyperGrid, n_folds: int, n_inner: int) -> dict:
+    """The outer plan and ``min_train``; checks the inner CV before any fit."""
+    trim = grid.max_lag
+    plan = plan_folds(corpus.T - trim, n_folds, trim)
+    _check_inner_cv(plan, n_inner)
+    return {
+        "corpus": corpus,
+        "plan": plan,
+        "grid": grid,
+        "trim": trim,
+        "n_inner": n_inner,
+        "min_train": _fewest_train([f.train_indices for f in plan.folds],
+                                   n_inner, trim),
+    }
+
+
+def _fit_run(ctx: dict, feed_id: str, folds: range, with_lsa: bool,
+             shuffle_seed=None):
     """Fit outer folds ``folds`` of one feed, and with ``with_lsa`` score
-    its baseline, on a working set built here and dropped on return."""
+    its baseline, on a working set built here and dropped on return; with
+    ``shuffle_seed``, on the feed's columns permuted (the shuffle control)."""
     corpus, plan = ctx["corpus"], ctx["plan"]
-    data = _FeedData(corpus.feed(feed_id).matrix, pool_excluding(corpus, feed_id),
-                     ctx["grid"], ctx["trim"], ctx["min_train"])
+    x = corpus.feed(feed_id).matrix
+    if shuffle_seed is not None:
+        x = x[:, _sample_permutation(np.random.default_rng(shuffle_seed), corpus.T)]
+    data = _FeedData(x, pool_excluding(corpus, feed_id), ctx["grid"],
+                     ctx["trim"], ctx["min_train"])
     outcomes = [_fit_feed_fold(data, plan.folds[i], i, ctx["n_inner"])
                 for i in folds]
     if not with_lsa:
@@ -715,17 +732,9 @@ def _fit_run(ctx: dict, feed_id: str, folds: range, with_lsa: bool):
                                   ctx["grid"].lags, ctx["trim"])
 
 
-def _shuffle_run(ctx: dict, feed_id: str) -> list[FoldOutcome]:
-    return shuffle_control(ctx["corpus"], feed_id,
-                           derive_seed(ctx["seed"], feed_id, 0, "shuffle"),
-                           ctx["grid"], ctx["n_folds"], ctx["n_inner"])
-
-
-def _run_task(task, context=None):
-    """Call a task ``(function, *args)`` on the analysis context: the one
-    given, else the worker's (see ``_init_worker``)."""
-    fn, *args = task
-    return fn(_CTX if context is None else context, *args)
+def _run_task(task):
+    """:func:`_fit_run` on the worker's context (see ``_init_worker``)."""
+    return _fit_run(_CTX, *task)
 
 
 def best_fold(outcomes, field=getattr):
@@ -817,13 +826,11 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     processes; the reduction order is fixed, so reports are identical for
     any worker count.
     """
+    _check_seed(seed)
     corpus.validate()
     if corpus.F < 2:
         raise NotEnoughFeeds(f"analysis needs at least 2 feeds, got {corpus.F}")
-    grid = grid or HyperGrid()
-    trim = grid.max_lag
-    plan = plan_folds(corpus.T - trim, n_folds, trim)
-    _check_inner_cv(plan, n_inner)
+    context = _context(corpus, grid or HyperGrid(), n_folds, n_inner)
 
     if feed_ids is None:
         feed_ids = corpus.feed_ids
@@ -836,34 +843,23 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
             raise DuplicateFeed(f"feed filter names {repeated!r} more than "
                                 f"once; list each feed once")
 
-    context = {
-        "corpus": corpus,
-        "plan": plan,
-        "grid": grid,
-        "trim": trim,
-        "n_folds": n_folds,
-        "n_inner": n_inner,
-        "min_train": _fewest_train([f.train_indices for f in plan.folds],
-                                   n_inner, trim),
-        "seed": seed,
-    }
     # feed-major: each feed's outer folds in min(jobs, n_folds) contiguous
     # runs, the first also scoring the baseline, then its shuffle control
     k = min(jobs, n_folds)
     runs = [range(n_folds * r // k, n_folds * (r + 1) // k) for r in range(k)]
     tasks = []
     for feed_id in feed_ids:
-        tasks += [(_fit_run, feed_id, run, with_lsa and run.start == 0)
-                  for run in runs]
+        tasks += [(feed_id, run, with_lsa and run.start == 0) for run in runs]
         if with_shuffle:
-            tasks.append((_shuffle_run, feed_id))
+            tasks.append((feed_id, range(n_folds), False,
+                          derive_seed(seed, feed_id, 0, "shuffle")))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(context,)) as executor:
             results = list(executor.map(_run_task, tasks))
     else:
-        results = [_run_task(t, context) for t in tasks]
+        results = [_fit_run(context, *t) for t in tasks]
 
     results = iter(results)
     reports = []
@@ -890,8 +886,8 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
         if with_lsa:
             report.lsa_fold_scores, report.lsa_per_lag = ran[0][1]
         if with_shuffle:
-            report.shuffle_fold_scores = [o.correlation for o in next(results)]
+            report.shuffle_fold_scores = [o.correlation for o in next(results)[0]]
         reports.append(report)
 
-    return AnalysisResult(n_folds, grid, seed, trim, n_inner, reports,
-                          rank_feeds(reports), fold_outcomes, plan)
+    return AnalysisResult(n_folds, context["grid"], seed, context["trim"], n_inner,
+                          reports, rank_feeds(reports), fold_outcomes, context["plan"])

@@ -74,5 +74,9 @@ class ShapeMismatch(CTError):
     """Incompatible array shapes."""
 
 
+class BadSeed(CTError, ValueError):
+    """A random seed that is not a non-negative integer."""
+
+
 class BadConfig(CTError):
     """A synthetic-data configuration violates its bounds."""

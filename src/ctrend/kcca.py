@@ -204,11 +204,11 @@ class _SideFactor:
     the matrix: an object with ``shape`` and ``rows(lo, hi, idx)`` (rows
     lo:hi of columns ``idx``, as slicing a matrix gives them), such as the
     lag embeddings of ``evaluation``. The dual route reads its columns
-    only to recover the primal weight (:func:`_cols_dot`) and takes its
-    Gram matrix from ``gram_fn``.
+    only to recover the primal weight (:func:`_cols_dot`); its Gram matrix
+    over all columns is ``gram``, which the primal route ignores.
     """
 
-    def __init__(self, data_full, train_idx, gram_fn=None):
+    def __init__(self, data_full, train_idx, gram=None):
         self.data_full = data_full
         self.train_idx = np.asarray(train_idx, dtype=int)
         n = len(self.train_idx)
@@ -221,7 +221,7 @@ class _SideFactor:
             self.theta, self.basis = _psd_eigenbasis(self.ac @ self.ac.T)
             self.sigma = np.sqrt(self.theta)
         else:
-            self.k_full = gram_fn() if gram_fn is not None else linear_kernel(data_full)
+            self.k_full = gram
             k_train = self.k_full[np.ix_(self.train_idx, self.train_idx)]
             kc, self.means = center_kernel(k_train)
             self.theta, self.basis = _psd_eigenbasis(kc)

@@ -234,6 +234,9 @@ def load_models(path: str | Path) -> dict:
             raise FormatError(f"models file is missing key {key!r}")
     if not isinstance(models["corpus_hash"], str):
         raise FormatError("models file key 'corpus_hash' must be a string")
+    if not _is_int(models["seed"]) or models["seed"] < 0:
+        raise FormatError(f"models file key 'seed' must be a non-negative integer, "
+                          f"got {json.dumps(models['seed'])}")
     if not _is_int(models["trim"]) or models["trim"] < 1:
         raise FormatError(f"models file key 'trim' must be a positive integer, "
                           f"got {json.dumps(models['trim'])}")

@@ -29,6 +29,11 @@ TOY_Y_TERMS = ("Cloud", "iPad", "Ash")
 _T0 = datetime(2010, 1, 1, tzinfo=timezone.utc)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadConfig(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ToyConfig:
     """Two feeds, three terms each, one shared latent trend."""
@@ -47,6 +52,7 @@ class ToyConfig:
             raise BadConfig(f"lag must satisfy 1 <= lag < T/4, got {self.lag}")
         if not any(self.w_x_star) or not any(self.w_y_star):
             raise BadConfig("weight vectors must be non-zero")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,7 @@ class LeaderConfig:
                 f"trend_sparsity must be in (0, 1], got {self.trend_sparsity}")
         if self.W < 1:
             raise BadConfig(f"vocabulary size must be >= 1, got {self.W}")
+        _check_seed(self.seed)
 
 
 def generate_toy(cfg: ToyConfig) -> Corpus:

@@ -369,6 +369,11 @@ _MODEL_EDITS = {
                         "models file key 'corpus_hash' must be a string"),
     "string-trim": (lambda m: m.update(trim="3"),
                     "models file key 'trim' must be a positive integer, got \"3\""),
+    **{f"{name}-seed": (lambda m, v=value: m.update(seed=v),
+                        f"models file key 'seed' must be a non-negative integer, "
+                        f"got {json.dumps(value)}")
+       for name, value in [("string", "x"), ("float", 1.5), ("null", None),
+                           ("bool", True), ("list", [1]), ("negative", -1)]},
     "position-off-axis": (lambda m: m["feeds"]["X"][0].update(test_positions=[496]),
                           "models file feed 'X' fold entry 0: 'test_positions' "
                           "must be a list of integers in 0..495"),
@@ -405,6 +410,25 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
                 "--kappas", "1e-2,1"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seed"] == 123
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze"])
+@pytest.mark.parametrize("flag, env, message", [
+    (-1, None, "argument --seed: must be at least 0, got -1"),
+    (None, "-3", "CT_SEED must be a non-negative integer, got '-3'"),
+    (None, "abc", "CT_SEED must be a non-negative integer, got 'abc'")])
+def test_bad_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag,
+                                   env, message):
+    if env is not None:
+        monkeypatch.setenv("CT_SEED", env)
+    args = {"synth": ["--mode", "toy"],
+            "analyze": ["--corpus", tmp_path / "c", "--shuffle-control"]}[command]
+    seed = [] if flag is None else ["--seed", flag]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *args, *seed, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_names_infeasible_inner_cv(tmp_path, capsys):

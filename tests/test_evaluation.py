@@ -44,6 +44,7 @@ from ctrend.evaluation import (
 )
 from ctrend.exceptions import (
     BadKappa,
+    BadSeed,
     DegenerateProjection,
     DuplicateFeed,
     NotEnoughFeeds,
@@ -307,7 +308,8 @@ def test_side_factor_routes_agree():
     idx = np.arange(10, 50)
     primal = _SideFactor(full, idx)
     assert primal.primal
-    dual = _SideFactor(sp.csc_matrix(np.vstack([full] * 12)), idx)
+    stacked = sp.csc_matrix(np.vstack([full] * 12))
+    dual = _SideFactor(stacked, idx, linear_kernel(stacked))
     assert not dual.primal
     # kernel spectra of the stacked matrix are 12x the originals
     assert np.allclose(dual.theta[:len(primal.theta)], 12 * primal.theta,
@@ -506,6 +508,44 @@ def test_shuffle_control_kills_correlation():
                            SMALL_GRID, n_folds=5, n_inner=5)
     score = np.mean([o.correlation for o in outs])
     assert abs(score) < 0.3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("make", [
+    lambda: generate_toy(ToyConfig(T=400, seed=23)),
+    lambda: generate_leader(LeaderConfig(F=3, W=6, T=300, seed=23)),
+], ids=["toy", "leader"])
+def test_shuffle_control_is_the_task_analyze_runs(make, jobs):
+    c = make()
+    res = analyze(c, SMALL_GRID, n_folds=4, n_inner=4, seed=23, with_shuffle=True,
+                  jobs=jobs)
+    for report in res.reports:
+        outs = shuffle_control(c, report.feed_id,
+                               derive_seed(23, report.feed_id, 0, "shuffle"),
+                               SMALL_GRID, n_folds=4, n_inner=4)
+        assert (np.array([o.correlation for o in outs]).tobytes()
+                == np.array(report.shuffle_fold_scores).tobytes())
+
+
+def test_shuffle_seed_is_pinned():
+    state = derive_seed(0, "leader", 0, "shuffle").generate_state(4)
+    assert state.tolist() == [714076322, 3378994584, 4062609436, 3812051071]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True, None])
+def test_bad_seed_is_named_before_any_fit(monkeypatch, seed):
+    monkeypatch.setattr(evaluation, "_fit_feed_fold", None)  # a fit would fail
+    c = generate_toy(ToyConfig(T=300, seed=0))
+    with pytest.raises(BadSeed, match="seed must be a non-negative integer"):
+        analyze(c, SMALL_GRID, n_folds=4, n_inner=4, seed=seed, with_shuffle=True)
+    with pytest.raises(BadSeed, match="seed must be a non-negative integer"):
+        shuffle_control(c, "X", seed, SMALL_GRID, n_folds=4, n_inner=4)
+
+
+def test_shuffle_control_names_infeasible_inner_cv():
+    c = generate_toy(ToyConfig(T=140, seed=1))
+    with pytest.raises(TooShortForFolds, match="inner CV.*--inner-folds <= 8"):
+        shuffle_control(c, "X", 0, HyperGrid(lags=tuple(range(1, 11))))
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +998,7 @@ def test_leader_shaped_feed_builds_no_gram(monkeypatch):
     data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader"),
                      grid, 3, _fewest_train(
                          [f.train_indices for f in plan.folds], 3, 3))
-    assert data._grams == {}
+    assert data.gram_x == {} and data.gram_y is None
     analyze(c, grid, n_folds=3, n_inner=3, with_lsa=True, with_shuffle=True)
     assert embeds == []
     # a dual corpus embeds once per analysed feed and per shuffle control
@@ -978,7 +1018,8 @@ def test_dual_feed_keeps_no_array_as_large_as_the_lag_max_embedding():
         biggest = max(tr.size for tr in tracemalloc.take_snapshot().traces)
     finally:
         tracemalloc.stop()
-    assert sorted(data._grams) == [1, 2, 3]
+    assert sorted(data.gram_x) == [1, 2, 3]
+    assert np.array_equal(data.gram_y, linear_kernel(data.pool_trim))
     assert biggest < emb_bytes / 2
 
 

@@ -273,8 +273,8 @@ def test_toy_holdout_correlation():
 def _fit_sides(x, y, kappa):
     """The fold fit's pair on all columns of x and y, as ``analyze`` runs
     it: the model and both sides' primal weights."""
-    sx = _SideFactor(x, np.arange(x.shape[1]), lambda: linear_kernel(x))
-    sy = _SideFactor(y, np.arange(y.shape[1]), lambda: linear_kernel(y))
+    sx = _SideFactor(x, np.arange(x.shape[1]), linear_kernel(x))
+    sy = _SideFactor(y, np.arange(y.shape[1]), linear_kernel(y))
     model, a, b = _fit_pair(sx, sy, kappa)
     return model, sx.primal_weight(a), sy.primal_weight(b)
 

@@ -66,6 +66,7 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
         # no lag is wider than W * max lag training columns: builds no Gram
         data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, w * grid.max_lag)
         old = _materialized(x_in, grid, trim)
+    assert data.gram_x == {} and data.gram_y is None
     for lag in grid.lags:
         emb = data.emb[lag]
         ref = embed_columns(x_in, lag)[:, trim - lag:]
@@ -88,29 +89,40 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
                                                     sp.csr_matrix]))
 def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
     """Each Gram is the kernel of the old row block, whose type and memory
-    layout its input keeps too (BLAS may round differently per layout)."""
+    layout its input keeps too (BLAS may round differently per layout).
+    The pool's Gram is built exactly when the pool is wider than
+    ``min_train``, and is the kernel of the trimmed pool."""
     x, pool, grid, trim, limit = case
     x_in = as_input(x)
     if x.shape[1] - trim < 2:
         return  # a Gram needs two samples
-    seen = {}  # kernel inputs by row count, which differs per lag
+    inputs = []  # every kernel input, in call order
 
     def layout(m):
         return sp.issparse(m) or (m.flags.c_contiguous, m.flags.f_contiguous)
 
     def spy(m, _fn=linear_kernel):
-        seen[m.shape[0]] = layout(m)
+        inputs.append(m)
         return _fn(m)
 
+    min_train = x.shape[0] * min(grid.lags) - 1
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit), \
             mock.patch.object(evaluation, "linear_kernel", spy):
         # every lag is wider than min_train, so every Gram is built
-        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim,
-                         x.shape[0] * min(grid.lags) - 1)
+        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, min_train)
         old = _materialized(x_in, grid, trim)
-        for lag in grid.lags:
-            assert np.array_equal(data.gram_x(lag), linear_kernel(old[lag]))
-            assert seen[old[lag].shape[0]] == layout(old[lag])
+    pool_calls = [m for m in inputs if m is data.pool_trim]
+    # lag inputs by row count, which differs per lag
+    seen = {m.shape[0]: layout(m) for m in inputs if m is not data.pool_trim}
+    assert len(seen) == len(inputs) - len(pool_calls) == len(grid.lags)
+    for lag in grid.lags:
+        assert np.array_equal(data.gram_x[lag], linear_kernel(old[lag]))
+        assert seen[old[lag].shape[0]] == layout(old[lag])
+    if pool.shape[0] > min_train:
+        assert len(pool_calls) == 1
+        assert np.array_equal(data.gram_y, linear_kernel(data.pool_trim))
+    else:
+        assert pool_calls == [] and data.gram_y is None
 
 
 # ---------------------------------------------------------------------------

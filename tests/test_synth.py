@@ -83,6 +83,9 @@ def test_toy_bad_configs():
         ToyConfig(T=100, lag=25)  # lag must stay below T/4
     with pytest.raises(BadConfig):
         ToyConfig(w_x_star=(0.0, 0.0, 0.0))
+    for seed in (-1, 1.5, None):
+        with pytest.raises(BadConfig, match="seed must be a non-negative integer"):
+            ToyConfig(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,9 @@ def test_leader_bad_configs():
         LeaderConfig(trend_sparsity=0.0)
     with pytest.raises(BadConfig):
         LeaderConfig(W=0)
+    for seed in (-1, 1.5, None):
+        with pytest.raises(BadConfig, match="seed must be a non-negative integer"):
+            LeaderConfig(seed=seed)
 
 
 def test_leader_ranks_first_smoke():
