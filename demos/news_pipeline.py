@@ -57,11 +57,11 @@ for cycle in range(28):
 print(f"{len(docs)} documents from 3 outlets; 'breaker' is {LEAD}h ahead")
 
 stopwords = frozenset({"by", "for", "of", "the", "new"})
-vocab = build_vocabulary(docs, stopwords, stem=True)
+tokens = []  # each document's token list, to count without tokenizing again
+vocab = build_vocabulary(docs, stopwords, stem=True, tokens=tokens)
 print(f"vocabulary after stop words and stemming: {len(vocab)} terms")
 
-counts = featurize(docs, vocab, T0, timedelta(hours=1), T,
-                   stopwords=stopwords, stem=True)
+counts = featurize(docs, vocab, T0, timedelta(hours=1), T, tokens)
 corpus = tfidf_normalize(counts)
 
 with tempfile.TemporaryDirectory() as tmp:

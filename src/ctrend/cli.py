@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", default=None,
                    help="RFC-3339 window start (default: first document, "
                         "floored to the hour)")
-    p.add_argument("--T", type=int, default=None,
+    p.add_argument("--T", type=_at_least(1), default=None,
                    help="number of bins (default: cover all documents)")
     p.add_argument("--timezone", default="UTC", help="reference timezone")
     p.add_argument("--min-df", type=_at_least(1), default=1)
@@ -223,9 +223,9 @@ def _cmd_featurize(args, parser) -> int:
         T = args.T
     else:
         span = max(d.timestamp for d in docs) - t0
-        T = int(span / bin_width) + 1
+        T = max(int(span / bin_width) + 1, 1)  # a late --t0 is named below
 
-    corpus = featurize(docs, vocab, t0, bin_width, T, tokens=tokens)
+    corpus = featurize(docs, vocab, t0, bin_width, T, tokens)
     if docs and corpus.n_dropped == len(docs):
         first = min(d.timestamp for d in docs)
         last = max(d.timestamp for d in docs)

@@ -1,7 +1,8 @@
 """Bag-of-words feature time series on a shared vocabulary and hourly grid.
 
-Raw timestamped documents are tokenized, binned onto a regular time axis
-and counted into one sparse term-by-time matrix per feed. The resulting
+Raw timestamped documents are tokenized once (``build_vocabulary``),
+binned onto a regular time axis and their token lists counted into one
+sparse term-by-time matrix per feed (``featurize``). The resulting
 corpus can be tf-idf normalized and stored/loaded losslessly as a
 directory of ``meta.json`` + ``matrix.csv``.
 
@@ -185,8 +186,8 @@ def build_vocabulary(docs: Iterable[Document],
 
     ``min_df`` keeps only terms appearing in at least that many documents.
     When ``tokens`` is a list, each document's token list is appended to
-    it in document order, for :func:`featurize` to count without
-    tokenizing again. Raises EmptyCorpus when nothing survives.
+    it in document order: the lists :func:`featurize` counts. Raises
+    EmptyCorpus when nothing survives.
     """
     df: dict[str, int] = {}
     for doc in docs:
@@ -202,23 +203,16 @@ def build_vocabulary(docs: Iterable[Document],
 
 
 def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
-              bin_width: timedelta = timedelta(hours=1), T: int = 0,
-              feeds: Sequence[str] | None = None,
-              stopwords: frozenset[str] | set[str] = frozenset(),
-              stem: bool = False,
-              tokens: Sequence[list[str]] | None = None) -> Corpus:
-    """Count term occurrences into per-feed W x T matrices.
+              bin_width: timedelta, T: int,
+              tokens: Sequence[list[str]]) -> Corpus:
+    """Count each document's token list into per-feed W x T matrices.
 
-    Cell (w, t) of feed f is the number of occurrences of term w in
-    documents of feed f whose timestamp falls in bin t. Documents outside
-    [t0, t0 + T*bin_width) are dropped and counted in ``Corpus.n_dropped``.
-    Order of documents does not matter. When ``feeds`` is None the feed
-    list is inferred from the documents (sorted); otherwise every
-    document's feed_id must be in ``feeds``. ``tokens``, when given, holds
-    each document's token list in document order, as :func:`tokenize`
-    gives it with ``stopwords`` and ``stem`` (and as
-    :func:`build_vocabulary` collects it); the documents are then not
-    tokenized again.
+    ``tokens`` holds one list per document, in document order, as
+    ``build_vocabulary(..., tokens=toks)`` collects them. Cell (w, t) of
+    feed f counts term w in the lists of feed f's documents whose
+    timestamp falls in bin t. Documents outside [t0, t0 + T*bin_width) are
+    dropped and counted in ``Corpus.n_dropped``. The feeds are the
+    documents' feed ids, sorted; the order of documents does not matter.
     """
     if T <= 0:
         raise NoBins(f"need at least one time bin, got T={T}")
@@ -230,16 +224,9 @@ def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
             f"bin width must be positive, got {bin_seconds / 3600:g} hours")
 
     docs = list(docs)
-    if feeds is None:
-        feed_list = sorted({d.feed_id for d in docs})
-    else:
-        feed_list = list(feeds)
-        known = set(feed_list)
-        for d in docs:
-            if d.feed_id not in known:
-                raise UnknownFeed(f"document feed {d.feed_id!r} has no feed slot")
-    if tokens is not None and len(tokens) != len(docs):
+    if len(tokens) != len(docs):
         raise ValueError(f"tokens has {len(tokens)} lists for {len(docs)} documents")
+    feed_list = sorted({d.feed_id for d in docs})
     slot = {fid: i for i, fid in enumerate(feed_list)}
 
     W = len(vocab)
@@ -252,8 +239,7 @@ def featurize(docs: Iterable[Document], vocab: Vocabulary, t0: datetime,
             dropped += 1
             continue
         fi = slot[d.feed_id]
-        terms = tokenize(d.text, stopwords, stem) if tokens is None else tokens[i]
-        for term in terms:
+        for term in tokens[i]:
             w = vocab.index.get(term)
             if w is not None:
                 rows[fi].append(w)

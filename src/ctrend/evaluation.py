@@ -22,15 +22,16 @@ one at a time on side factors (:func:`_score_fold_generic`).
 
 :func:`analyze` runs stateless tasks (:func:`_fit_run`), feed-major: each
 feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
-shuffle control, one run of all folds on the feed's permuted columns. A
-task builds the feed's working set that it fits on (its pool, dense
-copies of the feed and pool, and Grams), and the set is dropped when the
-task returns; the feed's first run also scores the baseline on it. So a
-process holds one working set at a time, whatever the number of feeds,
-and ``jobs`` worker processes hold up to one each. All randomness is
-confined to the shuffle control, with per-task seeds derived from the
-master seed, the feed id and the task purpose; given identical inputs
-the whole analysis is deterministic regardless of worker count.
+shuffle control in the same runs, each on the feed's columns permuted by
+the same seed. A task builds the feed's working set that it fits on (its
+pool, dense copies of the feed and pool, and Grams), and the set is
+dropped when the task returns; the feed's first run also scores the
+baseline on it. So a process holds one working set at a time, whatever
+the number of feeds, and each of the up to ``jobs`` worker processes
+holds up to one. All randomness is confined to the shuffle control, with
+per-feed seeds derived from the master seed, the feed id and the task
+purpose; given identical inputs the whole analysis is deterministic
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -157,18 +158,14 @@ def plan_folds(axis, n_folds: int, n_lags: int) -> FoldPlan:
     return FoldPlan(n_folds, n_lags, axis, folds)
 
 
+def _small_sparse(m) -> bool:
+    """The one size test that makes a feed's copy, and so its lag
+    embeddings and their Grams, dense (:func:`_as_dense_if_small`)."""
+    return sp.issparse(m) and m.shape[0] * m.shape[1] <= _DENSE_LIMIT
+
+
 def _as_dense_if_small(m):
-    if sp.issparse(m) and m.shape[0] * m.shape[1] <= _DENSE_LIMIT:
-        return m.toarray()
-    return m
-
-
-def _dense_embedding(x, lag: int, trim: int) -> bool:
-    """Whether the lag-``lag`` embedding of feed ``x`` is dense: when the
-    feed's copy is (:func:`_as_dense_if_small`) or the embedding is small."""
-    w, t = x.shape
-    return (not sp.issparse(x) or w * t <= _DENSE_LIMIT
-            or w * lag * (t - trim) <= _DENSE_LIMIT)
+    return m.toarray() if _small_sparse(m) else m
 
 
 @dataclass
@@ -189,15 +186,16 @@ class FoldOutcome:
 
 class _LagEmbedding:
     """The lag-``lag`` embedding of a feed on the axis trimmed by ``trim``,
-    read from the raw feed and never stored: column j stacks the raw
-    columns j+trim-lag .. j+trim-1 top to bottom, so the bottom block is
-    lag 1. ``dense`` says whether the materialized embedding would be
-    dense under ``_DENSE_LIMIT``, which decides the primal route's
+    read from the feed's working copy ``x_raw`` and never stored: column j
+    stacks the raw columns j+trim-lag .. j+trim-1 top to bottom, so the
+    bottom block is lag 1. It is ``dense`` exactly when the copy is
+    (:func:`_as_dense_if_small`), which decides the primal route's
     eligibility and the format of :meth:`rows`.
     """
 
-    def __init__(self, x_raw, lag: int, trim: int, dense: bool):
-        self.x_raw, self.lag, self.trim, self.dense = x_raw, lag, trim, dense
+    def __init__(self, x_raw, lag: int, trim: int):
+        self.x_raw, self.lag, self.trim = x_raw, lag, trim
+        self.dense = not sp.issparse(x_raw)
         self.shape = (x_raw.shape[0] * lag, x_raw.shape[1] - trim)
 
     def rows(self, lo: int, hi: int, idx):
@@ -214,27 +212,26 @@ class _LagEmbedding:
         out = np.empty((hi - lo, len(idx)), order="F")
         r = 0
         for sub in blocks:
-            out[r:r + sub.shape[0]] = sub.toarray() if sp.issparse(sub) else sub
+            out[r:r + sub.shape[0]] = sub
             r += sub.shape[0]
         return out
 
 
 def _lag_grams(x, trim: int, top: int, lags) -> dict:
     """Full-axis Gram matrix of each lag in ``lags``, from one transient
-    lag-``top`` embedding of ``x``, each lag's being its bottom row block,
-    dense as :func:`_dense_embedding` says. A sparse embedding is
-    densified in the layout that stacking the feed's dense copy gives, so
-    the Grams see the layout of a kept embedding: ``np.vstack`` keeps its
-    inputs' order, column-major for a csc feed of several rows and
-    row-major otherwise (a single row is both)."""
+    lag-``top`` embedding of ``x``, each lag's being its bottom row block.
+    It is densified with the feed's copy (:func:`_small_sparse`), in the
+    layout that stacking that copy gives, so the Grams see the layout of
+    a kept embedding: ``np.vstack`` keeps its inputs' order, column-major
+    for a csc feed of several rows and row-major otherwise (a single row
+    is both)."""
     if not lags:
         return {}
     w = x.shape[0]
     emb_max = embed_columns(x[:, trim - top:], top)
-    if sp.issparse(emb_max) and _dense_embedding(x, top, trim):
+    if _small_sparse(x):
         emb_max = emb_max.toarray(order="F" if x.format == "csc" and w > 1 else "C")
-    return {lag: linear_kernel(_as_dense_if_small(emb_max[w * (top - lag):]))
-            for lag in lags}
+    return {lag: linear_kernel(emb_max[w * (top - lag):]) for lag in lags}
 
 
 class _FeedData:
@@ -266,9 +263,7 @@ class _FeedData:
         self.x_raw = _as_dense_if_small(x_raw)
         self.pool_raw = _as_dense_if_small(pool_raw)
         self.pool_trim = self.pool_raw[:, trim:]
-        self.emb = {lag: _LagEmbedding(self.x_raw, lag, trim,
-                                       _dense_embedding(x_raw, lag, trim))
-                    for lag in grid.lags}
+        self.emb = {lag: _LagEmbedding(self.x_raw, lag, trim) for lag in grid.lags}
         # lag L is the last W * L rows of the lag-max one (lag 1 is at the bottom)
         self.lag_rows = {lag: slice(w * (grid.max_lag - lag), w * grid.max_lag)
                          for lag in grid.lags}
@@ -845,17 +840,20 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
 
     # feed-major: each feed's outer folds in min(jobs, n_folds) contiguous
     # runs, the first also scoring the baseline, then its shuffle control
+    # in the same runs, each permuting the feed's columns with one seed
     k = min(jobs, n_folds)
     runs = [range(n_folds * r // k, n_folds * (r + 1) // k) for r in range(k)]
     tasks = []
     for feed_id in feed_ids:
         tasks += [(feed_id, run, with_lsa and run.start == 0) for run in runs]
         if with_shuffle:
-            tasks.append((feed_id, range(n_folds), False,
-                          derive_seed(seed, feed_id, 0, "shuffle")))
+            shuffle_seed = derive_seed(seed, feed_id, 0, "shuffle")
+            tasks += [(feed_id, run, False, shuffle_seed) for run in runs]
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        # a fork pool starts all its workers up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_init_worker,
                                  initargs=(context,)) as executor:
             results = list(executor.map(_run_task, tasks))
     else:
@@ -886,7 +884,8 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
         if with_lsa:
             report.lsa_fold_scores, report.lsa_per_lag = ran[0][1]
         if with_shuffle:
-            report.shuffle_fold_scores = [o.correlation for o in next(results)[0]]
+            report.shuffle_fold_scores = [o.correlation for _ in runs
+                                          for o in next(results)[0]]
         reports.append(report)
 
     return AnalysisResult(n_folds, context["grid"], seed, context["trim"], n_inner,

@@ -156,7 +156,8 @@ def test_featurize_bad_timezone_and_t0_are_usage_errors(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--bin-hours", 0), ("--bin-hours", -1), ("--bin-hours", "nan"),
-    ("--bin-hours", "1e-12"), ("--bin-hours", "1e300"), ("--min-df", 0)])
+    ("--bin-hours", "1e-12"), ("--bin-hours", "1e300"), ("--min-df", 0),
+    ("--T", 0), ("--T", -3)])
 def test_featurize_rejects_bad_window_flags(tmp_path, capsys, flag, value):
     docs = tmp_path / "docs.jsonl"
     docs.write_text(DOCS)
@@ -178,6 +179,16 @@ def test_featurize_names_an_empty_window(tmp_path, capsys):
         "error: no document falls in the window [2011-11-01T00:00:00+00:00, "
         "2011-11-02T00:00:00+00:00); the documents run from "
         "2011-10-01T00:10:00+00:00 to 2011-10-01T01:20:00+00:00.")
+    assert not (tmp_path / "c").exists()
+    # without --T the window still gets one bin, and the error names --t0
+    # rather than a T the user never passed
+    assert run(["featurize", "--docs", docs, "--out", tmp_path / "c",
+                "--t0", "2011-10-01T18:00:00Z"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: no document falls in the window [2011-10-01T18:00:00+00:00, "
+        "2011-10-01T19:00:00+00:00); the documents run from ")
+    assert "Check --t0" in err and "T=" not in err
     assert not (tmp_path / "c").exists()
 
 

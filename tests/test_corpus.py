@@ -27,7 +27,6 @@ from ctrend.exceptions import (
     EmptyCorpus,
     FormatError,
     NoBins,
-    UnknownFeed,
 )
 
 UTC = timezone.utc
@@ -99,7 +98,8 @@ def test_vocabulary_rejects_duplicates():
 
 def test_featurize_counts_within_bin():
     v = Vocabulary(["ash"])
-    c = featurize([doc("f", 30, "ash ash")], v, T0, HOUR, T=2)
+    c = featurize([doc("f", 30, "ash ash")], v, T0, HOUR, T=2,
+                  tokens=[["ash", "ash"]])
     assert c.feed("f").matrix[0, 0] == 2.0
     assert c.feed("f").matrix[0, 1] == 0.0
     assert c.normalization == "counts"
@@ -108,28 +108,14 @@ def test_featurize_counts_within_bin():
 def test_featurize_drops_out_of_range():
     v = Vocabulary(["ash"])
     early = Document("f", T0 - timedelta(seconds=1), "ash")
-    c = featurize([early], v, T0, HOUR, T=2, feeds=["f"])
+    c = featurize([early], v, T0, HOUR, T=2, tokens=[["ash"]])
     assert c.n_dropped == 1
     assert c.feed("f").matrix.nnz == 0
 
 
-def test_featurize_keeps_empty_feed_slot():
-    v = Vocabulary(["ash"])
-    c = featurize([doc("a", 0, "ash")], v, T0, HOUR, T=2, feeds=["a", "b"])
-    assert c.feed("b").matrix.shape == (1, 2)
-    assert c.feed("b").matrix.nnz == 0
-    assert c.feed("a").matrix[0, 0] == 1.0
-
-
-def test_featurize_unknown_feed_slot():
-    v = Vocabulary(["ash"])
-    with pytest.raises(UnknownFeed):
-        featurize([doc("a", 0, "ash")], v, T0, HOUR, T=2, feeds=["b"])
-
-
 def test_featurize_no_bins():
     with pytest.raises(NoBins):
-        featurize([], Vocabulary(["x"]), T0, HOUR, T=0)
+        featurize([], Vocabulary(["x"]), T0, HOUR, T=0, tokens=[])
 
 
 @pytest.mark.parametrize("width, named", [
@@ -137,7 +123,8 @@ def test_featurize_no_bins():
     (timedelta(minutes=-30), "got -0.5 hours")])
 def test_featurize_rejects_non_positive_bin_width(width, named):
     with pytest.raises(BadWindow, match=f"bin width must be positive, {named}"):
-        featurize([doc("f", 0, "ash")], Vocabulary(["ash"]), T0, width, T=2)
+        featurize([doc("f", 0, "ash")], Vocabulary(["ash"]), T0, width, T=2,
+                  tokens=[["ash"]])
 
 
 def test_featurize_permutation_invariant():
@@ -146,11 +133,13 @@ def test_featurize_permutation_invariant():
     docs = [doc(f"feed{i % 3}", int(rng.integers(0, 300)),
                 " ".join(rng.choice(v.terms, size=4)))
             for i in range(60)]
-    a = featurize(docs, v, T0, HOUR, T=6, feeds=["feed0", "feed1", "feed2"])
+    a = featurize(docs, v, T0, HOUR, T=6, tokens=[tokenize(d.text) for d in docs])
+    assert a.feed_ids == ["feed0", "feed1", "feed2"]
     for seed in (1, 2):
         shuffled = list(docs)
         np.random.default_rng(seed).shuffle(shuffled)
-        b = featurize(shuffled, v, T0, HOUR, T=6, feeds=["feed0", "feed1", "feed2"])
+        b = featurize(shuffled, v, T0, HOUR, T=6,
+                      tokens=[tokenize(d.text) for d in shuffled])
         assert a == b
 
 
@@ -162,8 +151,9 @@ def test_featurize_counts_the_token_lists_build_vocabulary_collects():
     v = build_vocabulary(docs, stop, stem=True, tokens=tokens)
     assert tokens == [tokenize(d.text, stop, True) for d in docs]
     once = featurize(docs, v, T0, HOUR, T=4, tokens=tokens)
-    assert once == featurize(docs, v, T0, HOUR, T=4, stopwords=stop, stem=True)
     assert once.n_dropped == 1
+    # the stemmed lists are counted: ash, cloud, ash, plane, ground; cloud
+    assert [f.matrix.sum() for f in once.feeds] == [5, 1]
     with pytest.raises(ValueError, match="3 lists for 4 documents"):
         featurize(docs, v, T0, HOUR, T=4, tokens=tokens[:3])
 

@@ -682,6 +682,67 @@ def test_analyze_leaves_no_worker_state():
         assert evaluation._CTX == {}
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """``ProcessPoolExecutor`` replaced by a pool that runs the tasks here,
+    in order, and records its worker count and tasks: no process starts."""
+    seen = {}
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen["max_workers"] = max_workers
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            seen["tasks"] = list(tasks)
+            return map(fn, seen["tasks"])
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(evaluation, "_CTX", {})
+    return seen
+
+
+@pytest.mark.parametrize("jobs, feeds, shuffle, workers", [
+    (32, ["X"], False, 3),  # 3 folds, so 3 one-fold runs: 3 tasks
+    (32, ["X", "Y"], True, 12),  # per feed, 3 runs and 3 shuffle-control runs
+    (2, ["X", "Y"], True, 2),
+], ids=["few-tasks", "shuffle-control", "jobs"])
+def test_analyze_starts_no_more_workers_than_tasks(serial_pool, jobs, feeds,
+                                                    shuffle, workers):
+    c = generate_toy(ToyConfig(T=300, seed=6))
+    kw = dict(grid=HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=3, n_inner=3,
+              feed_ids=feeds, with_lsa=True, with_shuffle=shuffle)
+    parallel = analyze(c, jobs=jobs, **kw)
+    assert serial_pool["max_workers"] == workers
+    serial = analyze(c, **kw)
+    for build in (build_report, build_models):
+        assert dumps(build(serial, "h")) == dumps(build(parallel, "h"))
+
+
+def test_shuffle_control_runs_in_the_feed_runs(serial_pool):
+    c = generate_leader(LeaderConfig(F=3, W=6, T=300, seed=23))
+    res = analyze(c, SMALL_GRID, n_folds=4, n_inner=4, seed=23, with_shuffle=True,
+                  jobs=3)
+    runs = [range(0, 1), range(1, 2), range(2, 4)]
+    for feed_id in c.feed_ids:
+        own = [t for t in serial_pool["tasks"] if t[0] == feed_id]
+        assert [t[1] for t in own] == runs + runs
+        seeds = [t[3].entropy for t in own[len(runs):]]
+        assert seeds == [derive_seed(23, feed_id, 0, "shuffle").entropy] * len(runs)
+    for report in res.reports:
+        outs = shuffle_control(c, report.feed_id,
+                               derive_seed(23, report.feed_id, 0, "shuffle"),
+                               SMALL_GRID, n_folds=4, n_inner=4)
+        assert (np.array([o.correlation for o in outs]).tobytes()
+                == np.array(report.shuffle_fold_scores).tobytes())
+
+
 def _dual_route_peak(n_feeds):
     """tracemalloc peak of analyze on a corpus with W * L >> n."""
     rng = np.random.default_rng(7)

@@ -37,19 +37,19 @@ def feed_cases(draw):
     x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.6)
     pool = rng.standard_normal((w, t))
     # default: everything dense; 0: everything sparse; W * (T - trim): a
-    # sparse feed whose lag-1 block is small enough to densify
+    # sparse feed whose lag-1 block alone would fit, which stays sparse too
     limit = draw(st.sampled_from([evaluation._DENSE_LIMIT, 0, w * (t - trim)]))
     return x, pool, HyperGrid(lags=lags, kappas=(1.0,)), trim, limit
 
 
 def _materialized(x_in, grid, trim):
     """The lag embeddings as a resident lag-max embedding held them: each
-    lag is a row block of it, densified by ``_DENSE_LIMIT``."""
+    lag is a row block of it, stacked from the feed's copy, which
+    ``_DENSE_LIMIT`` densifies."""
     x = evaluation._as_dense_if_small(x_in)
     top = grid.max_lag
-    emb_max = evaluation._as_dense_if_small(embed_columns(x[:, trim - top:], top))
-    return {lag: evaluation._as_dense_if_small(emb_max[x.shape[0] * (top - lag):])
-            for lag in grid.lags}
+    emb_max = embed_columns(x[:, trim - top:], top)
+    return {lag: emb_max[x.shape[0] * (top - lag):] for lag in grid.lags}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -70,7 +70,7 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
     for lag in grid.lags:
         emb = data.emb[lag]
         ref = embed_columns(x_in, lag)[:, trim - lag:]
-        sparse = sparse_input and w * t > limit and w * lag * (t - trim) > limit
+        sparse = sparse_input and w * t > limit
         assert emb.dense != sparse
         assert sp.issparse(old[lag]) == sparse
         assert emb.shape == ref.shape
