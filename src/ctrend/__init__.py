@@ -25,7 +25,6 @@ from .corpus import (  # noqa: E402
 from .embedding import embed_columns, pool_excluding  # noqa: E402
 from .kcca import (  # noqa: E402
     KccaModel,
-    PrimalWeights,
     center_cross,
     center_kernel,
     linear_kernel,
@@ -59,8 +58,8 @@ from .synth import (  # noqa: E402
 __all__ = [
     "__version__",
     "AnalysisResult", "Corpus", "Document", "FeedReport", "FeedSeries",
-    "FoldPlan", "HyperGrid", "KccaModel", "LeaderConfig", "PrimalWeights",
-    "Ranking", "ToyConfig", "Vocabulary",
+    "FoldPlan", "HyperGrid", "KccaModel", "LeaderConfig", "Ranking",
+    "ToyConfig", "Vocabulary",
     "analyze", "build_vocabulary", "canonical_correlogram", "center_cross",
     "center_kernel", "corpus_content_hash", "embed_columns", "emit_trend",
     "featurize", "generate_leader", "generate_toy", "linear_kernel",

@@ -18,7 +18,9 @@ factors, the spectrum cut and the one canonical fit, which the final fold
 fit shares with ``solve_kcca``. Inner folds on the primal route (dense embedding no
 wider than the fold's training set) are scored in memory-bounded batches
 from segment moments (:func:`_score_fold_primal`); the others are scored
-one at a time on side factors (:func:`_score_fold_generic`).
+one at a time on side factors (:func:`_score_fold_generic`). Only this
+module knows the lag layout: :func:`_fit_feed_fold` lays the solver's
+flat feed weight out as ``w_x``, W x n_lags, column tau-1 for lag tau.
 
 :func:`analyze` runs stateless tasks (:func:`_fit_run`), feed-major: each
 feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
@@ -47,6 +49,7 @@ from .corpus import Corpus
 from .embedding import embed_columns, pool_excluding
 from .exceptions import (
     BadSeed,
+    BadSetting,
     DegenerateProjection,
     DuplicateFeed,
     NotEnoughFeeds,
@@ -57,7 +60,6 @@ from .exceptions import (
 )
 from .kcca import (
     KccaModel,
-    PrimalWeights,
     linear_kernel,
     pearson_correlation,
     _batched_eigenbases,
@@ -65,7 +67,6 @@ from .kcca import (
     _check_kappas,
     _cols,
     _fit_pair,
-    _lag_columns,
     _psd_eigenbasis,
     _SideFactor,
     _top_pairs,
@@ -108,14 +109,14 @@ class HyperGrid:
 
     def __post_init__(self):
         if not self.lags or not self.kappas:
-            raise ValueError("hyperparameter grid must be non-empty")
+            raise BadSetting("hyperparameter grid must be non-empty")
         if min(self.lags) < 1:
-            raise ValueError("lags must be >= 1")
+            raise BadSetting("lags must be >= 1")
         _check_kappas(self.kappas)
         for name, values in (("lags", self.lags), ("kappas", self.kappas)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
-                raise ValueError(f"{name} repeat {', '.join(map(str, repeated))}; "
+                raise BadSetting(f"{name} repeat {', '.join(map(str, repeated))}; "
                                  f"list each value once")
 
     @property
@@ -239,13 +240,13 @@ class _FeedData:
 
     ``emb[lag]`` is the lag's embedding on the axis trimmed by ``trim`` (at
     least the largest lag), read column by column from the raw feed
-    (:class:`_LagEmbedding`); row block ``lag_rows[lag]`` of the lag-max
-    embedding. No embedding is kept. ``gram_x`` maps each lag wider than
-    ``min_train`` (the fewest training columns any fold will factor, so
-    every lag that can take the dual route) to its full-axis Gram matrix,
-    built from one transient lag-max embedding made from the caller's
-    matrix before the dense copies of the feed and pool exist. ``gram_y``,
-    the trimmed pool's, is built after them by the same rule, else None.
+    (:class:`_LagEmbedding`). No embedding is kept. ``gram_x`` maps each
+    lag wider than ``min_train`` (the fewest training columns any fold
+    will factor, so every lag that can take the dual route) to its
+    full-axis Gram matrix, built from one transient lag-max embedding made
+    from the caller's matrix before the dense copies of the feed and pool
+    exist. ``gram_y``, the trimmed pool's, is built after them by the same
+    rule, else None.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
@@ -264,9 +265,6 @@ class _FeedData:
         self.pool_raw = _as_dense_if_small(pool_raw)
         self.pool_trim = self.pool_raw[:, trim:]
         self.emb = {lag: _LagEmbedding(self.x_raw, lag, trim) for lag in grid.lags}
-        # lag L is the last W * L rows of the lag-max one (lag 1 is at the bottom)
-        self.lag_rows = {lag: slice(w * (grid.max_lag - lag), w * grid.max_lag)
-                         for lag in grid.lags}
         dual_y = self.pool_trim.shape[0] > min_train and t - trim >= 2
         self.gram_y = linear_kernel(self.pool_trim) if dual_y else None
 
@@ -342,8 +340,8 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     """Score every (lag, kappa) grid point on a batch of inner folds.
 
     All folds are scored together: moments come from :func:`_fold_moments`,
-    the lag-L covariance is the sub-block on ``data.lag_rows[L]`` (a
-    trailing block of the lag-max one), each lag runs one ``eigh`` over
+    the lag-L covariance is the lag-max one's trailing sub-block of
+    ``data.emb[L].shape[0]`` rows, each lag runs one ``eigh`` over
     the folds' covariance blocks, and the top pair comes from the small
     side via :func:`_top_pairs`. Folds are grouped by kept ranks. A fold
     whose pool side has no variance, or a lag whose feed side has none,
@@ -360,7 +358,7 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     w_y = np.zeros((len(fold_ids), len(grid.lags), n_k, theta_y.shape[1]))
     live = np.flatnonzero(rank_y > 0)
     for li, lag in enumerate(grid.lags if len(live) else ()):
-        rows = data.lag_rows[lag]
+        rows = slice(d_max - data.emb[lag].shape[0], d_max)
         theta_x, p_x, rank_x = _batched_eigenbases(scatter[live, rows, rows])
         sig_x = np.sqrt(np.maximum(theta_x, 0.0))
         ranks = np.stack([rank_x, rank_y[live]], axis=1)
@@ -450,30 +448,35 @@ def _nested_select(data: _FeedData, train_positions, n_inner: int
     return lag, kappa, scores
 
 
-def _lag_series(weights: PrimalWeights, x_feed, pool, eval_times
+def _lag_series(w_x: np.ndarray, w_y: np.ndarray, x_feed, pool, eval_times
                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-lag feed projections w_x(tau)^T X(:, t - tau), tau = 1..n_lags,
-    and the pool projection w_y^T Y(:, t), over absolute evaluation times
-    (on the trimmed axis, so t - tau never underruns)."""
+    and the pool projection w_y^T Y(:, t), over absolute evaluation times.
+    Raises SeriesTooShort unless there are times and t - tau never
+    underruns."""
     eval_times = np.asarray(eval_times, dtype=int)
-    n_lags = weights.w_x.shape[1]
-    if eval_times.min() < n_lags:
-        raise ValueError("evaluation times underrun the earliest usable lag")
-    series_x = [weights.w_x[:, tau - 1] @ _cols(x_feed, eval_times - tau)
+    n_lags = w_x.shape[1]
+    if not len(eval_times) or eval_times.min() < n_lags:
+        got = f"starts at {eval_times.min()}" if len(eval_times) else "is empty"
+        raise SeriesTooShort(f"evaluation times for {n_lags} lags must start at "
+                             f"{n_lags} or later; the list {got}")
+    series_x = [w_x[:, tau - 1] @ _cols(x_feed, eval_times - tau)
                 for tau in range(1, n_lags + 1)]
-    return series_x, weights.w_y @ _cols(pool, eval_times)
+    return series_x, w_y @ _cols(pool, eval_times)
 
 
-def canonical_correlogram(weights: PrimalWeights, x_feed, pool,
+def canonical_correlogram(w_x: np.ndarray, w_y: np.ndarray, x_feed, pool,
                           eval_times: np.ndarray
                           ) -> list[tuple[int, float | None]]:
     """Lag-resolved correlation between per-lag feed and pool projections.
 
-    For each lag tau, correlates w_x(tau)^T X(:, t - tau) against
-    w_y^T Y(:, t) over the evaluation times. Lags whose series degenerate
-    are reported as None.
+    ``w_x`` is W x n_lags, column tau-1 the feed weight at lag tau, and
+    ``w_y`` the pool weight, as a fold's outcome holds them. For each lag
+    tau, correlates w_x(tau)^T X(:, t - tau) against w_y^T Y(:, t) over
+    the evaluation times. Lags whose series degenerate are reported as
+    None.
     """
-    series_x, series_y = _lag_series(weights, x_feed, pool, eval_times)
+    series_x, series_y = _lag_series(w_x, w_y, x_feed, pool, eval_times)
     out: list[tuple[int, float | None]] = []
     for tau, series in enumerate(series_x, start=1):
         try:
@@ -504,14 +507,15 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
         c = 0.0
         degenerate = True
 
-    w_x, w_y = _lag_columns(sx.primal_weight(a), lag), sy.primal_weight(b)
+    # W x lag, column tau-1 for lag tau: embedded row block b holds lag lag-b
+    w_x = sx.primal_weight(a).reshape(lag, -1)[::-1].T
+    w_y = sy.primal_weight(b)
     # reported with the dominant pooled-side weight positive; flipping both
     # sides together leaves every correlation unchanged
     if w_y[np.argmax(np.abs(w_y))] < 0:
         w_x, w_y = -w_x, -w_y
-    correlogram = canonical_correlogram(
-        PrimalWeights(w_x, w_y), data.x_raw, data.pool_raw,
-        fold.test_indices + data.trim)
+    correlogram = canonical_correlogram(w_x, w_y, data.x_raw, data.pool_raw,
+                                        fold.test_indices + data.trim)
     return FoldOutcome(fold_index, lag, kappa, c, degenerate, model,
                        w_x, w_y, correlogram, inner_scores)
 
@@ -564,8 +568,8 @@ def lsa_baseline(x_feed, pool, plan: FoldPlan, lags, trim: int
             per_lag_all.append([None] * len(lags))
             continue
         # the same feed direction at every lag
-        weights = PrimalWeights(np.repeat(v_x[:, None], max(lags), axis=1), v_y)
-        rho = dict(canonical_correlogram(weights, x_feed, pool,
+        w_x = np.repeat(v_x[:, None], max(lags), axis=1)
+        rho = dict(canonical_correlogram(w_x, v_y, x_feed, pool,
                                          fold.test_indices + trim))
         per_lag = [rho[tau] for tau in lags]
         defined = [r for r in per_lag if r is not None]
@@ -616,10 +620,6 @@ class FeedReport:
     lsa_per_lag: list[list[float | None]] | None = None
     shuffle_fold_scores: list[float] | None = None
 
-    @property
-    def mean_correlation(self) -> float:
-        return float(np.mean(self.fold_correlations))
-
 
 @dataclass
 class Ranking:
@@ -632,19 +632,20 @@ def rank_feeds(reports: list[FeedReport]) -> Ranking:
     counts = {len(r.fold_correlations) for r in reports}
     if len(counts) > 1:
         raise ValueError(f"reports disagree on fold count: {sorted(counts)}")
-    entries = sorted(((r.feed_id, r.mean_correlation) for r in reports),
-                     key=lambda e: (-e[1], e[0]))
+    entries = sorted(((r.feed_id, float(np.mean(r.fold_correlations)))
+                      for r in reports), key=lambda e: (-e[1], e[0]))
     return Ranking(entries)
 
 
-def emit_trend(weights: PrimalWeights, x_feed, pool, eval_times: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical trend and its prediction over the given absolute times.
+def emit_trend(w_x: np.ndarray, w_y: np.ndarray, x_feed, pool,
+               eval_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical trend and its prediction over the given absolute times,
+    from weights laid out as :func:`canonical_correlogram` takes them.
 
     Both series are normalized to unit sum of squares; their Pearson
     correlation equals the fold test correlation on the same indices.
     """
-    series_x, y = _lag_series(weights, x_feed, pool, eval_times)
+    series_x, y = _lag_series(w_x, w_y, x_feed, pool, eval_times)
     yhat = sum(series_x, np.zeros(len(y)))
     ny = np.linalg.norm(y)
     nyhat = np.linalg.norm(yhat)
@@ -749,8 +750,10 @@ def top_terms(w_x: np.ndarray, terms: list[str], k: int
     """Strongest terms of a convolution, by |weight| summed over lags.
 
     Each row reports the term's weight at its strongest lag, normalized by
-    the overall strongest weight so the top row is +-1.0.
+    the overall strongest weight so the top row is +-1.0. Raises BadSetting
+    for a negative ``k``.
     """
+    _check_top_k(k)
     importance = np.abs(w_x).sum(axis=1)
     order = sorted(range(len(terms)), key=lambda w: (-importance[w], terms[w]))
     rows = []
@@ -764,6 +767,11 @@ def top_terms(w_x: np.ndarray, terms: list[str], k: int
         if top > 0:
             rows = [(t, v / top, tau) for t, v, tau in rows]
     return rows
+
+
+def _check_top_k(k: int) -> None:
+    if k < 0:
+        raise BadSetting(f"top_k must be at least 0, got {k}")
 
 
 def mean_correlogram(correlograms: list[list[tuple[int, float | None]]]
@@ -819,9 +827,13 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     Optionally restricts scoring to ``feed_ids`` (pools are always built
     from the full corpus). ``jobs`` > 1 fans the tasks out to worker
     processes; the reduction order is fixed, so reports are identical for
-    any worker count.
+    any worker count. Raises BadSetting for ``jobs`` below 1, an empty
+    ``feed_ids`` or a negative ``top_k``, before any fit.
     """
     _check_seed(seed)
+    if jobs < 1:
+        raise BadSetting(f"jobs must be at least 1, got {jobs}")
+    _check_top_k(top_k)
     corpus.validate()
     if corpus.F < 2:
         raise NotEnoughFeeds(f"analysis needs at least 2 feeds, got {corpus.F}")
@@ -829,6 +841,9 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
 
     if feed_ids is None:
         feed_ids = corpus.feed_ids
+    elif not feed_ids:
+        raise BadSetting("feed filter is empty; name at least one feed, or "
+                         "pass None for all")
     else:
         unknown = set(feed_ids) - set(corpus.feed_ids)
         if unknown:

@@ -78,5 +78,10 @@ class BadSeed(CTError, ValueError):
     """A random seed that is not a non-negative integer."""
 
 
+class BadSetting(CTError, ValueError):
+    """An analysis setting out of its range, such as an empty grid or feed
+    list, or a worker count below one."""
+
+
 class BadConfig(CTError):
     """A synthetic-data configuration violates its bounds."""

@@ -24,7 +24,9 @@ measures the pair on two factors; ``solve_kcca`` and the per-fold fit of
 ``evaluation`` both run it.
 
 Only the first canonical pair is computed. The kernels are linear (Gram
-matrices), which is what makes primal-weight recovery possible.
+matrices), which is what makes primal-weight recovery possible. A side's
+weight is one vector over its data rows; how those rows are laid out,
+such as the lag blocks of an embedding, is up to the caller.
 """
 
 from __future__ import annotations
@@ -128,18 +130,6 @@ class KccaModel:
     lam: float
     eigenvalue: float
     kappa: float
-
-
-@dataclass
-class PrimalWeights:
-    """Input-space weights recovered from the dual solution.
-
-    ``w_x`` has one column per lag, ordered tau = 1 .. n_lags; ``w_y`` is
-    the pooled-side projection vector.
-    """
-
-    w_x: np.ndarray
-    w_y: np.ndarray
 
 
 def _batched_eigenbases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,9 +391,3 @@ def project(model: KccaModel, kx_block: np.ndarray, ky_block: np.ndarray
     if not all(np.isfinite(w).all() for w in out):
         raise NumericalFailure("projection produced non-finite values")
     return out[0], out[1]
-
-
-def _lag_columns(w_flat: np.ndarray, n_lags: int) -> np.ndarray:
-    """Flat weights over a lag embedding as W x n_lags, column tau-1 for
-    lag tau (embedded row block b holds lag n_lags - b)."""
-    return w_flat.reshape(n_lags, -1)[::-1].T

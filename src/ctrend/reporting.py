@@ -28,7 +28,6 @@ from .corpus import Corpus
 from .embedding import pool_excluding
 from .evaluation import (
     AnalysisResult,
-    PrimalWeights,
     best_fold,
     canonical_correlogram,
     emit_trend,
@@ -132,7 +131,7 @@ def build_models(result: AnalysisResult, corpus_hash: str) -> dict:
                 "correlation": o.correlation,
                 "degenerate": o.degenerate,
             }
-            if o.model is not None:
+            if o.w_x is not None:
                 entry.update({
                     "test_positions": result.plan.folds[o.fold].test_indices,
                     "w_x": o.w_x,
@@ -210,7 +209,7 @@ def _trend_rows(result: AnalysisResult, corpus: Corpus, feed_id: str) -> list[st
     pool = pool_excluding(corpus, feed_id)
     times = result.plan.axis + result.trim
     try:
-        y, yhat = emit_trend(PrimalWeights(best.w_x, best.w_y), x, pool, times)
+        y, yhat = emit_trend(best.w_x, best.w_y, x, pool, times)
     except DegenerateProjection:
         return []
     return [f"{t},{format_float(a)},{format_float(b)}"
@@ -326,9 +325,9 @@ def write_correlogram_from_models(models: dict, corpus: Corpus, feed_id: str,
     for entry in _stored_outcomes(models, corpus, feed_id):
         if entry["w_x"] is None:
             continue
-        weights = PrimalWeights(entry["w_x"], entry["w_y"])
         times = entry["test_positions"] + trim
-        correlograms.append(canonical_correlogram(weights, x, pool, times))
+        correlograms.append(canonical_correlogram(entry["w_x"], entry["w_y"],
+                                                  x, pool, times))
     rows = correlogram_rows(mean_correlogram(correlograms))
     _write_csv(Path(out_path), _meta_line(models["seed"], models["corpus_hash"]),
                "tau_hours,rho", rows)

@@ -1,3 +1,4 @@
+import ast
 import runpy
 import sys
 from pathlib import Path
@@ -27,6 +28,18 @@ def test_toy_trend_recovery_demo_runs(capsys, monkeypatch):
 def test_leader_ranking_demo_runs(capsys, monkeypatch):
     out = _run_demo("leader_ranking.py", capsys, monkeypatch)
     assert "top feed: leader" in out
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[('X', 0.89")  # the planted leader ranks first
+    for line in lines[1:]:  # the fold-mean and the fold 0 correlogram
+        rows = dict(ast.literal_eval(line))
+        assert max(rows, key=lambda tau: rows[tau] or -1.0) == 3
 
 
 def test_star_import_resolves_every_public_name():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 from datetime import datetime, timezone
@@ -8,7 +9,6 @@ import scipy.sparse as sp
 
 from ctrend import (
     HyperGrid,
-    PrimalWeights,
     ToyConfig,
     analyze,
     canonical_correlogram,
@@ -41,10 +41,12 @@ from ctrend.evaluation import (
     derive_seed,
     mean_correlogram,
     select_best_grid_point,
+    top_terms,
 )
 from ctrend.exceptions import (
     BadKappa,
     BadSeed,
+    BadSetting,
     DegenerateProjection,
     DuplicateFeed,
     NotEnoughFeeds,
@@ -61,7 +63,12 @@ from ctrend.kcca import (
     center_kernel,
     linear_kernel,
 )
-from ctrend.reporting import build_models, build_report, dumps
+from ctrend.reporting import (
+    build_models,
+    build_report,
+    dumps,
+    write_topwords_from_models,
+)
 from ctrend.synth import LeaderConfig, generate_leader
 from oracles import brute_lagged_pearson, power_iteration_top
 
@@ -156,6 +163,15 @@ def test_hypergrid_validation():
         HyperGrid(lags=(0, 1))
     with pytest.raises(ValueError):
         HyperGrid(kappas=(1e-12,))
+
+
+@pytest.mark.parametrize("lags, message", [
+    ((), "hyperparameter grid must be non-empty"),
+    ((0, 1), "lags must be >= 1"),
+    ((1, 1), "lags repeat 1; list each value once")])
+def test_hypergrid_raises_bad_setting(lags, message):
+    with pytest.raises(BadSetting, match=re.escape(message)):
+        HyperGrid(lags=lags)
 
 
 @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
@@ -343,9 +359,9 @@ def test_correlogram_white_noise_small():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 400))
     y = rng.standard_normal((3, 400))
-    w = PrimalWeights(rng.standard_normal((3, 4)), rng.standard_normal(3))
+    w_x, w_y = rng.standard_normal((3, 4)), rng.standard_normal(3)
     eval_times = np.arange(4, 400)
-    rows = canonical_correlogram(w, x, y, eval_times)
+    rows = canonical_correlogram(w_x, w_y, x, y, eval_times)
     for tau, rho in rows:
         assert abs(rho) < 3.0 / np.sqrt(len(eval_times))
 
@@ -354,21 +370,34 @@ def test_correlogram_matches_brute_force():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 200))
     y = rng.standard_normal((2, 200))
-    w = PrimalWeights(rng.standard_normal((2, 3)), rng.standard_normal(2))
+    w_x, w_y = rng.standard_normal((2, 3)), rng.standard_normal(2)
     eval_times = np.arange(3, 200)
-    rows = dict(canonical_correlogram(w, x, y, eval_times))
-    sy = w.w_y @ y
+    rows = dict(canonical_correlogram(w_x, w_y, x, y, eval_times))
+    sy = w_y @ y
     for tau in (1, 2, 3):
-        sx = w.w_x[:, tau - 1] @ x
+        sx = w_x[:, tau - 1] @ x
         want = brute_lagged_pearson(sx[3 - tau:], sy[3 - tau:], tau)
         assert abs(rows[tau] - want) < 1e-12
+
+
+@pytest.mark.parametrize("times, got", [(np.arange(1, 40), "starts at 1"),
+                                       (np.arange(0), "is empty")])
+def test_lag_series_names_times_that_underrun_the_lags(times, got):
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((2, 40)), rng.standard_normal((2, 40))
+    message = f"evaluation times for 2 lags must start at 2 or later; the list {got}"
+    for emit in (canonical_correlogram, emit_trend):
+        with pytest.raises(SeriesTooShort, match=message):
+            emit(np.ones((2, 2)), np.ones(2), x, y, times)
+    if len(times):  # a trim below the largest lag: fold 0's times start at 1
+        with pytest.raises(SeriesTooShort, match=message):
+            lsa_baseline(x, y, plan_folds(39, 2, 1), (1, 2), 1)
 
 
 def test_correlogram_bounds_and_degenerate():
     x = np.zeros((2, 50))
     y = np.random.default_rng(9).standard_normal((2, 50))
-    w = PrimalWeights(np.ones((2, 2)), np.ones(2))
-    rows = canonical_correlogram(w, x, y, np.arange(2, 50))
+    rows = canonical_correlogram(np.ones((2, 2)), np.ones(2), x, y, np.arange(2, 50))
     assert all(r is None for _, r in rows)
 
 
@@ -540,6 +569,34 @@ def test_bad_seed_is_named_before_any_fit(monkeypatch, seed):
         analyze(c, SMALL_GRID, n_folds=4, n_inner=4, seed=seed, with_shuffle=True)
     with pytest.raises(BadSeed, match="seed must be a non-negative integer"):
         shuffle_control(c, "X", seed, SMALL_GRID, n_folds=4, n_inner=4)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"jobs": 0}, "jobs must be at least 1, got 0"),
+    ({"jobs": -2}, "jobs must be at least 1, got -2"),
+    ({"feed_ids": []}, "feed filter is empty"),
+    ({"feed_ids": [], "jobs": 2}, "feed filter is empty"),
+    ({"top_k": -1}, "top_k must be at least 0, got -1")])
+def test_analyze_names_a_bad_setting_before_any_fit(monkeypatch, setting, message):
+    monkeypatch.setattr(evaluation, "_fit_feed_fold", None)  # a fit would fail
+    c = generate_toy(ToyConfig(T=400, seed=0))
+    with pytest.raises(BadSetting, match=message) as exc:
+        analyze(c, HyperGrid(lags=(1, 2)), n_folds=4, n_inner=4, **setting)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_top_terms_rejects_a_negative_count(tmp_path):
+    terms = [f"t{i}" for i in range(6)]
+    w_x = np.arange(1.0, 7.0)[:, None]
+    assert len(top_terms(w_x, terms, 6)) == 6
+    with pytest.raises(BadSetting, match="top_k must be at least 0, got -1"):
+        top_terms(w_x, terms, -1)  # would drop the weakest term
+    models = {"seed": 0, "corpus_hash": "h", "trim": 2, "feeds": {"X": [
+        {"fold": 0, "n_lags": 1, "correlation": 0.5, "w_x": [[1.0]] * 6,
+         "w_y": [1.0] * 6, "test_positions": [0, 1]}]}}
+    c = generate_toy(ToyConfig(T=400, seed=0))
+    with pytest.raises(BadSetting, match="top_k must be at least 0, got -1"):
+        write_topwords_from_models(models, c, "X", tmp_path / "t.csv", top_k=-1)
 
 
 def test_shuffle_control_names_infeasible_inner_cv():
@@ -770,10 +827,9 @@ def test_emit_trend_unit_energy_and_consistency():
     fold = plan.folds[2]
     out = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5),
                          fold, 2, 5)
-    w = PrimalWeights(out.w_x, out.w_y)
     x = c.feed("X").matrix
     times = fold.test_indices + 3
-    y, yhat = emit_trend(w, x, pool, times)
+    y, yhat = emit_trend(out.w_x, out.w_y, x, pool, times)
     assert abs((y ** 2).sum() - 1.0) < 1e-10
     assert abs((yhat ** 2).sum() - 1.0) < 1e-10
     assert abs(pearson_correlation(y, yhat) - out.correlation) < 1e-10
@@ -783,8 +839,7 @@ def test_emit_trend_constant_weight_varying_pool():
     rng = np.random.default_rng(18)
     x = rng.standard_normal((2, 50))
     y = rng.standard_normal((2, 50))
-    w = PrimalWeights(np.ones((2, 2)), np.ones(2))
-    trend, _ = emit_trend(w, x, y, np.arange(2, 50))
+    trend, _ = emit_trend(np.ones((2, 2)), np.ones(2), x, y, np.arange(2, 50))
     assert trend.std() > 0
 
 
