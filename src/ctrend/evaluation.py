@@ -39,6 +39,7 @@ regardless of worker count.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -100,6 +101,13 @@ class FoldPlan:
     folds: list[Fold]
 
 
+def _check_count(name: str, value) -> None:
+    """BadSetting unless ``value`` is an integer (a numpy one too, but not
+    a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadSetting(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HyperGrid:
     """Grid of lag counts and regularizers for the nested search."""
@@ -110,6 +118,11 @@ class HyperGrid:
     def __post_init__(self):
         if not self.lags or not self.kappas:
             raise BadSetting("hyperparameter grid must be non-empty")
+        for lag in self.lags:
+            _check_count("lags", lag)
+        for kappa in self.kappas:
+            if isinstance(kappa, bool) or not isinstance(kappa, numbers.Real):
+                raise BadSetting(f"kappas must be numbers, got {kappa!r}")
         if min(self.lags) < 1:
             raise BadSetting("lags must be >= 1")
         _check_kappas(self.kappas)
@@ -398,7 +411,7 @@ def _score_fold_generic(data: _FeedData, train_idx, test_idx,
             sx = _SideFactor(data.emb[lag], train_idx, data.gram_x.get(lag))
         except DegenerateProjection:
             continue  # counts as zero for every kappa
-        _, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy), kappas)
+        _, a, b = _canonical_pairs(sx.theta, sy.theta, sx.z @ sy.z.T, kappas)
         scores[li] = _pearson_rows(sx.project_batch(a, sx.prepare_cols(test_idx)),
                                    sy.project_batch(b, prep_y))
     return scores
@@ -694,7 +707,10 @@ def _check_seed(seed) -> None:
 
 
 def _context(corpus: Corpus, grid: HyperGrid, n_folds: int, n_inner: int) -> dict:
-    """The outer plan and ``min_train``; checks the inner CV before any fit."""
+    """The outer plan and ``min_train``; checks the fold counts and the
+    inner CV before any fit."""
+    _check_count("n_folds", n_folds)
+    _check_count("n_inner", n_inner)
     trim = grid.max_lag
     plan = plan_folds(corpus.T - trim, n_folds, trim)
     _check_inner_cv(plan, n_inner)
@@ -770,6 +786,7 @@ def top_terms(w_x: np.ndarray, terms: list[str], k: int
 
 
 def _check_top_k(k: int) -> None:
+    _check_count("top_k", k)
     if k < 0:
         raise BadSetting(f"top_k must be at least 0, got {k}")
 
@@ -827,10 +844,12 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     Optionally restricts scoring to ``feed_ids`` (pools are always built
     from the full corpus). ``jobs`` > 1 fans the tasks out to worker
     processes; the reduction order is fixed, so reports are identical for
-    any worker count. Raises BadSetting for ``jobs`` below 1, an empty
-    ``feed_ids`` or a negative ``top_k``, before any fit.
+    any worker count. Raises BadSetting for a count that is not an integer
+    (``n_folds``, ``n_inner``, ``jobs``, ``top_k``), ``jobs`` below 1, an
+    empty ``feed_ids`` or a negative ``top_k``, before any fit.
     """
     _check_seed(seed)
+    _check_count("jobs", jobs)
     if jobs < 1:
         raise BadSetting(f"jobs must be at least 1, got {jobs}")
     _check_top_k(top_k)

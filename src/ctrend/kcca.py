@@ -18,8 +18,13 @@ reduction is exact, not an approximation.
 Each side is factored once (:class:`_SideFactor`) in whichever space is
 smaller: the covariance of its dense training columns when the feature
 dimension is at most the sample count (primal), the centered Gram matrix
-otherwise (dual). Both give the centered-kernel spectrum, so the solve
-does not depend on the route. :func:`_fit_pair` solves, orients and
+otherwise (dual). Both give the centered-kernel spectrum and hold it the
+same way: the kept eigenvalues ``theta`` and unit eigenvectors ``z`` (as
+rows) of the centered training kernel, plus the map ``t`` from centered
+evaluation data (columns on the primal route, a centered cross-Gram block
+on the dual) to eigenbasis coordinates. So the solve, the projections and
+the cross term z_x z_y^T do not depend on the route; only building a side
+and recovering its primal weight do. :func:`_fit_pair` solves, orients and
 measures the pair on two factors; ``solve_kcca`` and the per-fold fit of
 ``evaluation`` both run it.
 
@@ -196,6 +201,14 @@ class _SideFactor:
     lag embeddings of ``evaluation``. The dual route reads its columns
     only to recover the primal weight (:func:`_cols_dot`); its Gram matrix
     over all columns is ``gram``, which the primal route ignores.
+
+    Both routes hold the same solve-facing representation: ``theta``, the
+    kept eigenvalues of the centered training kernel, ``z`` (r x n), its
+    unit eigenvectors as rows, and ``t``, the map :meth:`project_batch`
+    applies to what :meth:`prepare_cols` gives. On the dual route
+    z = t = U^T, from the Gram matrix's ``eigh``. On the primal route, with
+    the centered training columns Ac = U diag(sigma) V^T from the
+    covariance's ``eigh``, z = (U / sigma)^T Ac and t = diag(sigma) U^T.
     """
 
     def __init__(self, data_full, train_idx, gram=None):
@@ -207,36 +220,35 @@ class _SideFactor:
         if self.primal:
             a = _cols(data_full, self.train_idx)
             self.mean = a.mean(axis=1)
-            self.ac = a - self.mean[:, None]
-            self.theta, self.basis = _psd_eigenbasis(self.ac @ self.ac.T)
-            self.sigma = np.sqrt(self.theta)
+            ac = a - self.mean[:, None]
+            self.theta, u = _psd_eigenbasis(ac @ ac.T)
+            sigma = np.sqrt(self.theta)
+            self.z = (u / sigma).T @ ac
+            self.t = sigma[:, None] * u.T
         else:
             self.k_full = gram
             k_train = self.k_full[np.ix_(self.train_idx, self.train_idx)]
             kc, self.means = center_kernel(k_train)
-            self.theta, self.basis = _psd_eigenbasis(kc)
+            self.theta, u = _psd_eigenbasis(kc)
+            self.z = self.t = u.T
 
     @classmethod
     def of_centered(cls, kc: np.ndarray) -> "_SideFactor":
-        """Dual factor of a centered kernel; no data side, only the solve."""
+        """Factor of a centered kernel; no data side, only the solve."""
         side = cls.__new__(cls)
-        side.primal = False
-        side.theta, side.basis = _psd_eigenbasis(kc)
+        side.theta, u = _psd_eigenbasis(kc)
+        side.z = u.T
         return side
 
     def dual_coef(self, a: np.ndarray) -> np.ndarray:
-        if self.primal:
-            return self.ac.T @ (self.basis @ (a / self.sigma))
-        return self.basis @ a
+        return self.z.T @ a
 
     def train_projection(self, a: np.ndarray) -> np.ndarray:
-        if self.primal:
-            return self.ac.T @ self.primal_weight(a)
-        return self.basis @ (self.theta * a)
+        return self.z.T @ (self.theta * a)
 
     def primal_weight(self, a: np.ndarray) -> np.ndarray:
         if self.primal:
-            return self.basis @ (a * self.sigma)
+            return self.t.T @ a
         return _cols_dot(self.data_full, self.train_idx, self.dual_coef(a))
 
     def prepare_cols(self, idx) -> np.ndarray:
@@ -248,21 +260,7 @@ class _SideFactor:
 
     def project_batch(self, a_rows: np.ndarray, prepared: np.ndarray) -> np.ndarray:
         """Project a whole batch of coefficient rows at once: (k, m)."""
-        if self.primal:
-            return (a_rows * self.sigma) @ self.basis.T @ prepared
-        return a_rows @ self.basis.T @ prepared
-
-    def cross_with(self, other: "_SideFactor") -> np.ndarray:
-        """Ux^T Uy between the two sides' kernel eigenbases."""
-        if self.primal and other.primal:
-            left = self.basis / self.sigma
-            right = other.basis / other.sigma
-            return (left.T @ (self.ac @ other.ac.T)) @ right
-        if self.primal:
-            return (self.basis / self.sigma).T @ (self.ac @ other.basis)
-        if other.primal:
-            return other.cross_with(self).T
-        return self.basis.T @ other.basis
+        return a_rows @ self.t @ prepared
 
 
 def _check_kappas(kappas) -> np.ndarray:
@@ -346,7 +344,7 @@ def _fit_pair(sx: _SideFactor, sy: _SideFactor, kappa: float
     """First canonical pair of two side factors at one kappa, as a model
     and the coefficient rows a, b in the sides' eigenbases. Sign: beta's
     largest-magnitude entry is positive, alpha flips along with it."""
-    lams, a, b = _canonical_pairs(sx.theta, sy.theta, sx.cross_with(sy),
+    lams, a, b = _canonical_pairs(sx.theta, sy.theta, sx.z @ sy.z.T,
                                   np.array([kappa]))
     a, b = a[0], b[0]
     beta = sy.dual_coef(b)

@@ -331,6 +331,30 @@ def test_side_factor_routes_agree():
     assert np.allclose(dual.theta[:len(primal.theta)], 12 * primal.theta,
                        rtol=1e-10)
 
+    # both routes hold the same unit eigenvectors, up to the sign of each row
+    def kept_rows(p, d):
+        z = d.z[:len(p.theta)]
+        signs = np.sign(np.sum(p.z * z, axis=1))
+        assert np.allclose(signs[:, None] * z, p.z, atol=1e-9)
+        return signs
+
+    sx = kept_rows(primal, dual)
+    other = rng.standard_normal((4, 60))
+    primal_y = _SideFactor(other, idx)
+    stacked_y = sp.csc_matrix(np.vstack([other] * 12))
+    dual_y = _SideFactor(stacked_y, idx, linear_kernel(stacked_y))
+    assert primal_y.primal and not dual_y.primal
+    sy = kept_rows(primal_y, dual_y)
+    # so the cross term z_x z_y^T agrees over all four route pairs, up to
+    # the signs of its rows and columns
+    rx, ry = len(primal.theta), len(primal_y.theta)
+    want = primal.z @ primal_y.z.T
+    for fx, gx in ((primal, np.ones(rx)), (dual, sx)):
+        for fy, gy in ((primal_y, np.ones(ry)), (dual_y, sy)):
+            cross = (fx.z @ fy.z.T)[:rx, :ry]
+            assert np.allclose(gx[:, None] * cross * gy[None, :], want,
+                               atol=1e-9)
+
 
 def test_degenerate_projection_scored_zero():
     mats = [np.zeros((2, 60)), np.random.default_rng(5).random((2, 60))]
@@ -583,6 +607,46 @@ def test_analyze_names_a_bad_setting_before_any_fit(monkeypatch, setting, messag
     with pytest.raises(BadSetting, match=message) as exc:
         analyze(c, HyperGrid(lags=(1, 2)), n_folds=4, n_inner=4, **setting)
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: HyperGrid(lags=(1.5,)), "lags must be an integer, got 1.5"),
+    (lambda c: HyperGrid(lags=(1, 2.0)), "lags must be an integer, got 2.0"),
+    (lambda c: HyperGrid(lags=(True,)), "lags must be an integer, got True"),
+    (lambda c: HyperGrid(kappas=("a",)), "kappas must be numbers, got 'a'"),
+    (lambda c: HyperGrid(kappas=(True,)), "kappas must be numbers, got True"),
+    (lambda c: analyze(c, SMALL_GRID, n_folds=3.0, n_inner=4),
+     "n_folds must be an integer, got 3.0"),
+    (lambda c: analyze(c, SMALL_GRID, n_folds=4, n_inner=2.5),
+     "n_inner must be an integer, got 2.5"),
+    (lambda c: analyze(c, SMALL_GRID, n_folds=4, n_inner=4, jobs=1.5),
+     "jobs must be an integer, got 1.5"),
+    (lambda c: analyze(c, SMALL_GRID, n_folds=4, n_inner=4, top_k=2.5),
+     "top_k must be an integer, got 2.5"),
+    (lambda c: shuffle_control(c, "X", 0, SMALL_GRID, n_folds=3.0, n_inner=4),
+     "n_folds must be an integer, got 3.0"),
+    (lambda c: shuffle_control(c, "X", 0, SMALL_GRID, n_folds=4, n_inner=True),
+     "n_inner must be an integer, got True")],
+    ids=["lag-float", "lag-whole-float", "lag-bool", "kappa-str", "kappa-bool",
+         "n_folds", "n_inner", "jobs", "top_k", "shuffle-n_folds",
+         "shuffle-n_inner"])
+def test_wrongly_typed_settings_are_named_before_any_fit(monkeypatch, call,
+                                                         message):
+    monkeypatch.setattr(evaluation, "_fit_feed_fold", None)  # a fit would fail
+    c = generate_toy(ToyConfig(T=400, seed=0))
+    with pytest.raises(BadSetting, match=re.escape(message)):
+        call(c)
+
+
+def test_numpy_integer_settings_are_accepted():
+    c = generate_toy(ToyConfig(T=400, seed=0))
+    plain = analyze(c, HyperGrid(lags=(1, 2), kappas=(1e-2,)), n_folds=4,
+                    n_inner=4, top_k=3)
+    grid = HyperGrid(lags=(np.int64(1), np.int32(2)), kappas=(np.float64(1e-2),))
+    numpy = analyze(c, grid, n_folds=np.int64(4), n_inner=np.int64(4),
+                    jobs=np.int64(1), top_k=np.int64(3))
+    assert [r.fold_correlations for r in numpy.reports] == \
+        [r.fold_correlations for r in plain.reports]
 
 
 def test_top_terms_rejects_a_negative_count(tmp_path):
