@@ -26,20 +26,23 @@ flat feed weight out as ``w_x``, W x n_lags, column tau-1 for lag tau.
 feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
 shuffle control in the same runs, each on the feed's columns permuted by
 the same seed. A task builds the feed's working set that it fits on (its
-pool, dense copies of the feed and pool, and Grams), and the set is
-dropped when the task returns; the feed's first run also scores the
-baseline on it. So a process holds one working set at a time, whatever
-the number of feeds, and each of the up to ``jobs`` worker processes
-holds up to one. All randomness is confined to the shuffle control, with
-per-feed seeds derived from the master seed, the feed id and the task
-purpose; given identical inputs the whole analysis is deterministic
-regardless of worker count.
+pool, Grams, and dense copies of the feed and pool where a fold can take
+the primal route, :func:`_dense_copy`; a feed wider than its trimmed time
+axis keeps the caller's sparse ones), and the set is dropped when the
+task returns; the feed's first run also scores the baseline on it. So a
+process holds one working set at a time, whatever the number of feeds,
+and each of the up to ``jobs`` worker processes holds up to one. All
+randomness is confined to the shuffle control, with per-feed seeds
+derived from the master seed, the feed id and the task purpose; given
+identical inputs the whole analysis is deterministic regardless of
+worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import numbers
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -116,6 +119,14 @@ class HyperGrid:
     kappas: tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1)
 
     def __post_init__(self):
+        for name in ("lags", "kappas"):
+            values = getattr(self, name)
+            if isinstance(values, np.ndarray) and values.ndim == 1:
+                values = values.tolist()
+            if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
+                raise BadSetting(f"{name} must be a sequence of numbers, such as "
+                                 f"a tuple or a 1-D array, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         if not self.lags or not self.kappas:
             raise BadSetting("hyperparameter grid must be non-empty")
         for lag in self.lags:
@@ -173,13 +184,20 @@ def plan_folds(axis, n_folds: int, n_lags: int) -> FoldPlan:
 
 
 def _small_sparse(m) -> bool:
-    """The one size test that makes a feed's copy, and so its lag
-    embeddings and their Grams, dense (:func:`_as_dense_if_small`)."""
+    """The size cap on dense copies of a sparse feed or pool: the Grams are
+    built from dense copies under it (:func:`_lag_grams`, ``gram_y``), and
+    a working copy is dense only under it (:func:`_dense_copy`)."""
     return sp.issparse(m) and m.shape[0] * m.shape[1] <= _DENSE_LIMIT
 
 
-def _as_dense_if_small(m):
-    return m.toarray() if _small_sparse(m) else m
+def _dense_copy(m, trim: int) -> bool:
+    """Whether the working set holds a dense copy of the feed or pool ``m``:
+    when it is small and some fold can factor a side on the primal route.
+    The pool has W rows, a lag-L embedding W*L, and no fold trains on more
+    than T - trim columns, so that takes W <= T - trim. Every fold of a
+    wider feed takes the dual route, which the caller's sparse matrix
+    serves."""
+    return _small_sparse(m) and m.shape[0] <= m.shape[1] - trim
 
 
 @dataclass
@@ -203,8 +221,8 @@ class _LagEmbedding:
     read from the feed's working copy ``x_raw`` and never stored: column j
     stacks the raw columns j+trim-lag .. j+trim-1 top to bottom, so the
     bottom block is lag 1. It is ``dense`` exactly when the copy is
-    (:func:`_as_dense_if_small`), which decides the primal route's
-    eligibility and the format of :meth:`rows`.
+    (:func:`_dense_copy`), which decides the primal route's eligibility
+    and the format of :meth:`rows`.
     """
 
     def __init__(self, x_raw, lag: int, trim: int):
@@ -234,11 +252,11 @@ class _LagEmbedding:
 def _lag_grams(x, trim: int, top: int, lags) -> dict:
     """Full-axis Gram matrix of each lag in ``lags``, from one transient
     lag-``top`` embedding of ``x``, each lag's being its bottom row block.
-    It is densified with the feed's copy (:func:`_small_sparse`), in the
-    layout that stacking that copy gives, so the Grams see the layout of
-    a kept embedding: ``np.vstack`` keeps its inputs' order, column-major
-    for a csc feed of several rows and row-major otherwise (a single row
-    is both)."""
+    It is densified under the size cap (:func:`_small_sparse`), in the
+    layout that stacking a dense copy of the feed gives, so the Grams see
+    the layout of a kept embedding: ``np.vstack`` keeps its inputs' order,
+    column-major for a csc feed of several rows and row-major otherwise (a
+    single row is both)."""
     if not lags:
         return {}
     w = x.shape[0]
@@ -257,9 +275,12 @@ class _FeedData:
     lag wider than ``min_train`` (the fewest training columns any fold
     will factor, so every lag that can take the dual route) to its
     full-axis Gram matrix, built from one transient lag-max embedding made
-    from the caller's matrix before the dense copies of the feed and pool
-    exist. ``gram_y``, the trimmed pool's, is built after them by the same
-    rule, else None.
+    from the caller's matrix before any dense copy of the feed and pool
+    exists. ``x_raw`` and ``pool_raw`` are those copies where some fold can
+    take the primal route (:func:`_dense_copy`), else the caller's
+    matrices. ``gram_y``, the trimmed pool's, is built after them by the
+    same rule, from the dense trimmed pool under the size cap whether or
+    not the working set keeps it, else None.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
@@ -274,12 +295,17 @@ class _FeedData:
         self.gram_x = _lag_grams(x_raw, trim, grid.max_lag,
                                  [lag for lag in grid.lags
                                   if w * lag > min_train and t - trim >= 2])
-        self.x_raw = _as_dense_if_small(x_raw)
-        self.pool_raw = _as_dense_if_small(pool_raw)
+        self.x_raw, self.pool_raw = (m.toarray() if _dense_copy(m, trim) else m
+                                     for m in (x_raw, pool_raw))
         self.pool_trim = self.pool_raw[:, trim:]
         self.emb = {lag: _LagEmbedding(self.x_raw, lag, trim) for lag in grid.lags}
-        dual_y = self.pool_trim.shape[0] > min_train and t - trim >= 2
-        self.gram_y = linear_kernel(self.pool_trim) if dual_y else None
+        self.gram_y = None
+        if self.pool_trim.shape[0] > min_train and t - trim >= 2:
+            # the trimmed pool, dense under the size cap: a transient copy
+            # where the working set keeps the caller's sparse pool
+            pool = self.pool_raw
+            self.gram_y = linear_kernel(pool.toarray()[:, trim:] if _small_sparse(pool)
+                                        else self.pool_trim)
 
 
 def _fewest_train(outer_trains, n_inner: int, trim: int) -> int:

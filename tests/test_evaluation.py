@@ -1,7 +1,9 @@
+import importlib.util
 import re
 import tracemalloc
 import weakref
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from ctrend import (
     solve_kcca,
 )
 from ctrend import evaluation
-from ctrend.corpus import Corpus, FeedSeries, Vocabulary
+from ctrend.cli import main as cli_main
+from ctrend.corpus import Corpus, FeedSeries, Vocabulary, load_corpus
 from ctrend.embedding import embed_columns
 from ctrend.evaluation import (
     FeedReport,
@@ -187,6 +190,25 @@ def test_hypergrid_rejects_repeated_values(lags, kappas, message):
     with pytest.raises(ValueError) as exc:
         HyperGrid(lags=lags, kappas=kappas)
     assert str(exc.value) == message
+
+
+def test_hypergrid_takes_lags_from_a_numpy_array():
+    grid = HyperGrid(lags=np.arange(1, 4))
+    assert grid == HyperGrid(lags=(1, 2, 3))
+    assert grid.lags == (1, 2, 3) and grid.max_lag == 3
+
+
+def test_hypergrid_takes_kappas_from_a_numpy_array():
+    grid = HyperGrid(kappas=np.array([1e-2, 1.0]))
+    assert grid == HyperGrid(kappas=(1e-2, 1.0))
+    assert hash(grid) == hash(HyperGrid(kappas=(1e-2, 1.0)))
+
+
+@pytest.mark.parametrize("lags", [3, np.int64(3), np.array(3)],
+                         ids=["int", "numpy-int", "0-d-array"])
+def test_hypergrid_names_lags_that_are_not_a_sequence(lags):
+    with pytest.raises(BadSetting, match="lags must be a sequence of numbers"):
+        HyperGrid(lags=lags)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,20 +1158,22 @@ def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
     idx = np.sort(rng.choice(t - lag, 120, replace=False))
     c = rng.standard_normal(len(idx))
     full = embed_columns(x, lag)[:, idx]
+    sparse_full = embed_columns(sp.csc_matrix(x), lag)[:, idx]
     grid = HyperGrid(lags=(lag,), kappas=(1.0,))
-    for x_in in (x, sp.csc_matrix(x)):
+    # W > T - trim: a csc feed keeps sparse columns, cut in sparse chunks
+    for x_in, want in ((x, full), (sp.csc_matrix(x), sparse_full)):
         emb = _FeedData(x_in, x_in, grid, lag, t).emb[lag]  # no Gram needed
-        assert emb.dense
-        assert np.array_equal(_cols_dot(emb, idx, c), full @ c)
+        assert emb.dense != sp.issparse(x_in)
+        assert np.array_equal(_cols_dot(emb, idx, c), want @ c)
         m = embed_columns(x_in, lag)
         assert np.array_equal(_cols_dot(m, idx, c),
                               np.asarray(m[:, idx] @ c).ravel())
-    # sparse columns, in sparse chunks
-    monkeypatch.setattr(evaluation, "_DENSE_LIMIT", 0)
+    # a dense copy of the csc feed, as a feed no wider than T - trim has
+    monkeypatch.setattr(evaluation, "_dense_copy",
+                        lambda m, trim: evaluation._small_sparse(m))
     emb = _FeedData(sp.csc_matrix(x), x, grid, lag, t).emb[lag]
-    assert not emb.dense
-    sparse_full = embed_columns(sp.csc_matrix(x), lag)[:, idx]
-    assert np.array_equal(_cols_dot(emb, idx, c), sparse_full @ c)
+    assert emb.dense
+    assert np.array_equal(_cols_dot(emb, idx, c), full @ c)
 
 
 @pytest.mark.parametrize("chunk", [4, 8, 12, 64])
@@ -1199,8 +1223,95 @@ def test_dual_feed_keeps_no_array_as_large_as_the_lag_max_embedding():
     finally:
         tracemalloc.stop()
     assert sorted(data.gram_x) == [1, 2, 3]
-    assert np.array_equal(data.gram_y, linear_kernel(data.pool_trim))
+    assert np.array_equal(data.gram_y, linear_kernel(pool.toarray()[:, 3:]))
     assert biggest < emb_bytes / 2
+
+
+def test_wide_sparse_feed_keeps_a_sparse_working_set(monkeypatch):
+    """W > T - trim: no fold can take the primal route, so the working set
+    holds the caller's sparse feed and pool, and no dense copy of either,
+    while every Gram keeps the bits it has from dense copies."""
+    x, pool = _dual_feed()
+    w, t = x.shape
+    grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
+    tracemalloc.start()
+    try:
+        data = _FeedData(x, pool, grid, 3, 80)
+        biggest = max(tr.size for tr in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert data.x_raw is x and data.pool_raw is pool
+    assert not any(emb.dense for emb in data.emb.values())
+    assert biggest < 8 * w * t
+    monkeypatch.setattr(evaluation, "_dense_copy",
+                        lambda m, trim: evaluation._small_sparse(m))
+    dense = _FeedData(x, pool, grid, 3, 80)
+    assert isinstance(dense.x_raw, np.ndarray) and dense.emb[3].dense
+    assert sorted(data.gram_x) == sorted(dense.gram_x) == [1, 2, 3]
+    for lag in grid.lags:
+        assert np.array_equal(data.gram_x[lag], dense.gram_x[lag])
+    assert np.array_equal(data.gram_y, dense.gram_y)
+
+
+def test_analysis_on_a_sparse_working_set_matches_dense_copies(monkeypatch):
+    """The same analysis with the working set forced dense: every Gram, and
+    so every solve, is bit-identical; only the products formed from the
+    sparse columns after it (weights, correlograms, the baseline) may
+    round differently."""
+    c = _sparse_dual_corpus(5)
+    assert c.W > c.T - SMALL_GRID.max_lag
+    kw = dict(grid=SMALL_GRID, n_folds=3, n_inner=3, seed=5, with_lsa=True)
+    sparse = analyze(c, **kw)
+    monkeypatch.setattr(evaluation, "_dense_copy",
+                        lambda m, trim: evaluation._small_sparse(m))
+    dense = analyze(c, **kw)
+    assert sparse.ranking.entries == dense.ranking.entries
+    for rs, rd in zip(sparse.reports, dense.reports):
+        assert rs.fold_correlations == rd.fold_correlations
+        assert rs.chosen == rd.chosen
+        assert np.allclose(rs.lsa_fold_scores, rd.lsa_fold_scores,
+                           rtol=0, atol=1e-12)
+        for ls, ld in zip(rs.lsa_per_lag, rd.lsa_per_lag):
+            assert [v is None for v in ls] == [v is None for v in ld]
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(ls, ld) if a is not None)
+    fitted = 0
+    for fid in c.feed_ids:
+        for os_, od in zip(sparse.fold_outcomes[fid], dense.fold_outcomes[fid]):
+            assert np.array_equal(os_.inner_scores, od.inner_scores)
+            if od.w_x is None:
+                assert os_.w_x is None
+                continue
+            fitted += 1
+            assert np.abs(os_.w_x - od.w_x).max() <= 1e-12
+            assert np.abs(os_.w_y - od.w_y).max() <= 1e-12
+            for (tau, a), (tau_d, b) in zip(os_.correlogram, od.correlogram):
+                assert tau == tau_d and (a is None) == (b is None)
+                assert a is None or abs(a - b) <= 1e-12
+    assert fitted
+
+
+def test_benchmark_text_corpus_builds_a_sparse_working_set(tmp_path):
+    """The text benchmark's seed-0 corpus (W = 2982 terms, T = 600 bins)
+    reaches the sparse working set, as analyze builds it for a feed."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "textgen", root / "perfbench" / "textgen.py")
+    textgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(textgen)
+    docs = textgen.write_jsonl(0, tmp_path / "docs.jsonl")
+    assert cli_main(["featurize", "--docs", str(docs), "--out",
+                     str(tmp_path / "text"), "--T", str(textgen.T),
+                     "--t0", textgen.T0.isoformat()]) == 0
+    c = load_corpus(tmp_path / "text")
+    grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2, 1.0))
+    ctx = evaluation._context(c, grid, 5, 5)
+    x = c.feed("leader").matrix
+    assert c.W > c.T - ctx["trim"]
+    data = _FeedData(x, pool_excluding(c, "leader"), grid, ctx["trim"],
+                     ctx["min_train"])
+    assert data.x_raw is x and sp.issparse(data.pool_raw)
+    assert not any(emb.dense for emb in data.emb.values())
+    assert sorted(data.gram_x) == [1, 2, 3] and data.gram_y is not None
 
 
 @pytest.mark.parametrize("d", [12, 36, 72])

@@ -43,10 +43,10 @@ def feed_cases(draw):
 
 
 def _materialized(x_in, grid, trim):
-    """The lag embeddings as a resident lag-max embedding held them: each
-    lag is a row block of it, stacked from the feed's copy, which
+    """The lag embeddings as the Grams see them: each lag is a row block
+    of a lag-max embedding, stacked from a copy of the feed that
     ``_DENSE_LIMIT`` densifies."""
-    x = evaluation._as_dense_if_small(x_in)
+    x = x_in.toarray() if evaluation._small_sparse(x_in) else x_in
     top = grid.max_lag
     emb_max = embed_columns(x[:, trim - top:], top)
     return {lag: emb_max[x.shape[0] * (top - lag):] for lag in grid.lags}
@@ -65,12 +65,17 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
         # no lag is wider than W * max lag training columns: builds no Gram
         data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, w * grid.max_lag)
-        old = _materialized(x_in, grid, trim)
+    # the working copy is dense under the size cap where some fold can take
+    # the primal route (W <= T - trim); old: the lag-max embedding it stacks
+    sparse = sparse_input and not (w * t <= limit and w <= t - trim)
+    x_copy = x_in.toarray() if sparse_input and not sparse else x_in
+    top = grid.max_lag
+    kept = embed_columns(x_copy[:, trim - top:], top)
+    old = {lag: kept[w * (top - lag):] for lag in grid.lags}
     assert data.gram_x == {} and data.gram_y is None
     for lag in grid.lags:
         emb = data.emb[lag]
         ref = embed_columns(x_in, lag)[:, trim - lag:]
-        sparse = sparse_input and w * t > limit
         assert emb.dense != sparse
         assert sp.issparse(old[lag]) == sparse
         assert emb.shape == ref.shape
@@ -91,10 +96,13 @@ def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
     """Each Gram is the kernel of the old row block, whose type and memory
     layout its input keeps too (BLAS may round differently per layout).
     The pool's Gram is built exactly when the pool is wider than
-    ``min_train``, and is the kernel of the trimmed pool."""
+    ``min_train``, and is the kernel of the trimmed pool as a copy that
+    ``_DENSE_LIMIT`` densifies gives it, whether or not the working set
+    keeps that copy."""
     x, pool, grid, trim, limit = case
     x_in = as_input(x)
-    if x.shape[1] - trim < 2:
+    w, t = x.shape
+    if t - trim < 2:
         return  # a Gram needs two samples
     inputs = []  # every kernel input, in call order
 
@@ -111,16 +119,19 @@ def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
         # every lag is wider than min_train, so every Gram is built
         data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, min_train)
         old = _materialized(x_in, grid, trim)
-    pool_calls = [m for m in inputs if m is data.pool_trim]
-    # lag inputs by row count, which differs per lag
-    seen = {m.shape[0]: layout(m) for m in inputs if m is not data.pool_trim}
-    assert len(seen) == len(inputs) - len(pool_calls) == len(grid.lags)
+    # the lag Grams come first; lag inputs by row count, which differs per lag
+    seen = {m.shape[0]: layout(m) for m in inputs[:len(grid.lags)]}
+    pool_calls = inputs[len(grid.lags):]
+    assert len(seen) == len(grid.lags)
     for lag in grid.lags:
         assert np.array_equal(data.gram_x[lag], linear_kernel(old[lag]))
         assert seen[old[lag].shape[0]] == layout(old[lag])
     if pool.shape[0] > min_train:
+        pool_in = sp.csc_matrix(pool)
+        old_pool = (pool_in.toarray() if w * t <= limit else pool_in)[:, trim:]
         assert len(pool_calls) == 1
-        assert np.array_equal(data.gram_y, linear_kernel(data.pool_trim))
+        assert layout(pool_calls[0]) == layout(old_pool)
+        assert np.array_equal(data.gram_y, linear_kernel(old_pool))
     else:
         assert pool_calls == [] and data.gram_y is None
 
