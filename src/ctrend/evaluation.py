@@ -7,20 +7,20 @@ training block a nested blocked CV picks the number of lags and the
 regularizer from a grid. Per fold the canonical pair is fit, the held-out
 correlation is recorded, and feeds are ranked by their mean fold score.
 
-No lag embedding is kept. A feed's lag-L embedding is read column by
-column from the raw feed (lag-L column j stacks raw columns j+trim-L ..
-j+trim-1), and it is the bottom row block of the lag-max embedding. The
-Gram matrices of the lags that can take the dual route are all built with
-the feed's data, from one transient lag-max embedding per feed, and the
-dual weight is recovered in row chunks, so no full copy of the training
-columns is made either. The solver core is in :mod:`kcca`: the side
-factors, the spectrum cut and the one canonical fit, which the final fold
-fit shares with ``solve_kcca``. Inner folds on the primal route (dense embedding no
-wider than the fold's training set) are scored in memory-bounded batches
-from segment moments (:func:`_score_fold_primal`); the others are scored
-one at a time on side factors (:func:`_score_fold_generic`). Only this
-module knows the lag layout: :func:`_fit_feed_fold` lays the solver's
-flat feed weight out as ``w_x``, W x n_lags, column tau-1 for lag tau.
+No lag embedding is kept. One reader, :class:`_LagEmbedding`, reads a
+feed's lag-L embedding from the raw feed a whole lag block at a time
+(lag-L column j stacks raw columns j+trim-L .. j+trim-1); it is the
+bottom row block of the lag-max embedding. The Grams of the lags that
+can take the dual route come from one transient read of the lag-max
+embedding per feed, and the dual weight is formed a lag block at a time,
+so no full copy of the training columns is made. The solver core is in
+:mod:`kcca`: the side factors, the spectrum cut and the one canonical
+fit, which the final fold fit shares with ``solve_kcca``. Inner folds on
+the primal route (dense embedding no wider than the fold's training set)
+are scored in memory-bounded batches from segment moments
+(:func:`_score_fold_primal`), the others one at a time on side factors
+(:func:`_score_fold_generic`). :func:`_fit_feed_fold` lays the flat feed
+weight out as ``w_x``, W x n_lags, column tau-1 for lag tau.
 
 :func:`analyze` runs stateless tasks (:func:`_fit_run`), feed-major: each
 feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .embedding import embed_columns, pool_excluding
+from .embedding import pool_excluding
 from .exceptions import (
     BadSeed,
     BadSetting,
@@ -58,6 +58,7 @@ from .exceptions import (
     DuplicateFeed,
     NotEnoughFeeds,
     SeriesTooShort,
+    ShapeMismatch,
     TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
@@ -157,13 +158,21 @@ def plan_folds(axis, n_folds: int, n_lags: int) -> FoldPlan:
     For each fold, indices whose time value lies within ``n_lags`` after
     the test block go to the discard buffer: their embedding windows
     overlap the test block, so training on them would leak test data.
-    """
+    Raises BadSetting for a count that is not an integer, a negative
+    ``n_lags`` or an index array that is not strictly increasing."""
+    _check_count("n_folds", n_folds)
+    _check_count("n_lags", n_lags)
+    if n_lags < 0:
+        raise BadSetting(f"n_lags must be at least 0, got {n_lags}")
     if n_folds < 2:
         raise TooFewFolds(f"blocked CV needs at least 2 folds, got {n_folds}")
     if np.isscalar(axis):
         axis = np.arange(int(axis))
     else:
         axis = np.asarray(axis, dtype=int)
+        if axis.ndim != 1 or (np.diff(axis) <= 0).any():
+            raise BadSetting("the time axis must be a 1-D array of strictly "
+                             "increasing indices")
     n = len(axis)
     if n < n_folds * (n_lags + 2):
         raise TooShortForFolds(
@@ -183,21 +192,12 @@ def plan_folds(axis, n_folds: int, n_lags: int) -> FoldPlan:
     return FoldPlan(n_folds, n_lags, axis, folds)
 
 
-def _small_sparse(m) -> bool:
-    """The size cap on dense copies of a sparse feed or pool: the Grams are
-    built from dense copies under it (:func:`_lag_grams`, ``gram_y``), and
-    a working copy is dense only under it (:func:`_dense_copy`)."""
-    return sp.issparse(m) and m.shape[0] * m.shape[1] <= _DENSE_LIMIT
-
-
-def _dense_copy(m, trim: int) -> bool:
-    """Whether the working set holds a dense copy of the feed or pool ``m``:
-    when it is small and some fold can factor a side on the primal route.
-    The pool has W rows, a lag-L embedding W*L, and no fold trains on more
-    than T - trim columns, so that takes W <= T - trim. Every fold of a
-    wider feed takes the dual route, which the caller's sparse matrix
-    serves."""
-    return _small_sparse(m) and m.shape[0] <= m.shape[1] - trim
+def _dense_copy(w: int, t: int, trim: int) -> bool:
+    """Whether a W x T feed's working set holds dense copies of the feed and
+    pool under the size cap: when some fold can take the primal route. The
+    pool has W rows, a lag-L embedding W*L, and no fold trains on more than
+    T - trim columns. A wider feed's folds all take the dual route."""
+    return w <= t - trim
 
 
 @dataclass
@@ -220,9 +220,10 @@ class _LagEmbedding:
     """The lag-``lag`` embedding of a feed on the axis trimmed by ``trim``,
     read from the feed's working copy ``x_raw`` and never stored: column j
     stacks the raw columns j+trim-lag .. j+trim-1 top to bottom, so the
-    bottom block is lag 1. It is ``dense`` exactly when the copy is
-    (:func:`_dense_copy`), which decides the primal route's eligibility
-    and the format of :meth:`rows`.
+    bottom block is lag 1. It is ``dense`` exactly when the copy is, which
+    decides the primal route's eligibility and the format of :meth:`cols`.
+    A column source of :class:`kcca._SideFactor` whose every read takes
+    whole lag blocks, each the feed's rows at shifted columns.
     """
 
     def __init__(self, x_raw, lag: int, trim: int):
@@ -230,57 +231,61 @@ class _LagEmbedding:
         self.dense = not sp.issparse(x_raw)
         self.shape = (x_raw.shape[0] * lag, x_raw.shape[1] - trim)
 
-    def rows(self, lo: int, hi: int, idx):
-        """Rows lo:hi of columns ``idx``: sparse (csc) where the embedding
-        is, else dense and column-major, the layout that fancy-indexing
-        the columns of a matrix gives."""
-        idx = np.asarray(idx, dtype=int)
-        w = self.x_raw.shape[0]
-        blocks = (self.x_raw[max(lo, b * w) - b * w:min(hi, (b + 1) * w) - b * w,
-                             idx + self.trim - self.lag + b]
-                  for b in range(lo // w, -(-hi // w)))  # the lag blocks lo:hi crosses
+    def _block(self, idx, b: int):
+        """Lag block ``b`` of columns ``idx``, 0 at the top (lag ``lag``)."""
+        return self.x_raw[:, np.asarray(idx, dtype=int) + self.trim - self.lag + b]
+
+    def cols(self, idx):
+        """All rows of columns ``idx``: csc where the embedding is sparse,
+        else dense and column-major."""
         if not self.dense:
-            return sp.vstack(list(blocks), format="csc")
-        out = np.empty((hi - lo, len(idx)), order="F")
-        r = 0
-        for sub in blocks:
-            out[r:r + sub.shape[0]] = sub
-            r += sub.shape[0]
+            return sp.vstack([self._block(idx, b) for b in range(self.lag)],
+                             format="csc")
+        w = self.x_raw.shape[0]
+        out = np.empty((self.shape[0], len(idx)), order="F")
+        for b in range(self.lag):
+            out[b * w:(b + 1) * w] = self._block(idx, b)
         return out
 
+    def cols_dot(self, idx, c: np.ndarray) -> np.ndarray:
+        """``cols(idx) @ c``, formed one lag block at a time, so that no
+        more than one block is held."""
+        return np.concatenate([np.asarray(self._block(idx, b) @ c).ravel()
+                               for b in range(self.lag)])
 
-def _lag_grams(x, trim: int, top: int, lags) -> dict:
+
+def _lag_grams(x, trim: int, top: int, lags, small: bool) -> dict:
     """Full-axis Gram matrix of each lag in ``lags``, from one transient
-    lag-``top`` embedding of ``x``, each lag's being its bottom row block.
-    It is densified under the size cap (:func:`_small_sparse`), in the
-    layout that stacking a dense copy of the feed gives, so the Grams see
-    the layout of a kept embedding: ``np.vstack`` keeps its inputs' order,
-    column-major for a csc feed of several rows and row-major otherwise (a
-    single row is both)."""
+    read of the lag-``top`` embedding of ``x`` (:func:`_gram_input`), each
+    lag's being its bottom row block."""
     if not lags:
         return {}
+    emb = _LagEmbedding(x, top, trim)
+    emb_max = _gram_input(emb.cols(np.arange(emb.shape[1])), small)
     w = x.shape[0]
-    emb_max = embed_columns(x[:, trim - top:], top)
-    if _small_sparse(x):
-        emb_max = emb_max.toarray(order="F" if x.format == "csc" and w > 1 else "C")
     return {lag: linear_kernel(emb_max[w * (top - lag):]) for lag in lags}
+
+
+def _gram_input(m, small: bool):
+    """``m``, dense and column-major where it is sparse and ``small``."""
+    return m.toarray(order="F") if small and sp.issparse(m) else m
 
 
 class _FeedData:
     """Per-feed precomputed views shared by every fold and grid point.
 
     ``emb[lag]`` is the lag's embedding on the axis trimmed by ``trim`` (at
-    least the largest lag), read column by column from the raw feed
+    least the largest lag), read a lag block at a time from the raw feed
     (:class:`_LagEmbedding`). No embedding is kept. ``gram_x`` maps each
     lag wider than ``min_train`` (the fewest training columns any fold
     will factor, so every lag that can take the dual route) to its
-    full-axis Gram matrix, built from one transient lag-max embedding made
-    from the caller's matrix before any dense copy of the feed and pool
-    exists. ``x_raw`` and ``pool_raw`` are those copies where some fold can
-    take the primal route (:func:`_dense_copy`), else the caller's
-    matrices. ``gram_y``, the trimmed pool's, is built after them by the
-    same rule, from the dense trimmed pool under the size cap whether or
-    not the working set keeps it, else None.
+    full-axis Gram matrix (:func:`_lag_grams`); ``gram_y`` is the trimmed
+    pool's when the pool is wider than ``min_train``, else None. Both come
+    from the caller's matrices before any dense copy exists; feed and pool
+    share W x T, so one size decision makes both Gram inputs dense and
+    column-major under the cap. ``x_raw`` and ``pool_raw`` are dense copies
+    under the cap where some fold can take the primal route
+    (:func:`_dense_copy`), else the caller's matrices.
     """
 
     def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
@@ -291,21 +296,19 @@ class _FeedData:
         w, t = x_raw.shape
         self.trim = trim
         self.grid = grid
+        small = w * t <= _DENSE_LIMIT
         # a Gram needs two samples; no fold factors fewer
-        self.gram_x = _lag_grams(x_raw, trim, grid.max_lag,
-                                 [lag for lag in grid.lags
-                                  if w * lag > min_train and t - trim >= 2])
-        self.x_raw, self.pool_raw = (m.toarray() if _dense_copy(m, trim) else m
-                                     for m in (x_raw, pool_raw))
-        self.pool_trim = self.pool_raw[:, trim:]
-        self.emb = {lag: _LagEmbedding(self.x_raw, lag, trim) for lag in grid.lags}
-        self.gram_y = None
-        if self.pool_trim.shape[0] > min_train and t - trim >= 2:
-            # the trimmed pool, dense under the size cap: a transient copy
-            # where the working set keeps the caller's sparse pool
-            pool = self.pool_raw
-            self.gram_y = linear_kernel(pool.toarray()[:, trim:] if _small_sparse(pool)
-                                        else self.pool_trim)
+        grams = t - trim >= 2
+        self.gram_x = _lag_grams(x_raw, trim, grid.max_lag, [
+            lag for lag in grid.lags if grams and w * lag > min_train], small)
+        self.gram_y = (linear_kernel(_gram_input(pool_raw[:, trim:], small))
+                       if grams and pool_raw.shape[0] > min_train else None)
+        if small and _dense_copy(w, t, trim):
+            x_raw, pool_raw = (m.toarray() if sp.issparse(m) else m
+                               for m in (x_raw, pool_raw))
+        self.x_raw, self.pool_raw = x_raw, pool_raw
+        self.pool_trim = pool_raw[:, trim:]
+        self.emb = {lag: _LagEmbedding(x_raw, lag, trim) for lag in grid.lags}
 
 
 def _fewest_train(outer_trains, n_inner: int, trim: int) -> int:
@@ -491,14 +494,25 @@ def _lag_series(w_x: np.ndarray, w_y: np.ndarray, x_feed, pool, eval_times
                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-lag feed projections w_x(tau)^T X(:, t - tau), tau = 1..n_lags,
     and the pool projection w_y^T Y(:, t), over absolute evaluation times.
-    Raises SeriesTooShort unless there are times and t - tau never
-    underruns."""
+    Raises ShapeMismatch unless ``w_x`` is W x n_lags and ``w_y`` has one
+    entry per pool row, and SeriesTooShort unless there are times, t - tau
+    never underruns and t lies before the end of feed and pool."""
     eval_times = np.asarray(eval_times, dtype=int)
+    if np.ndim(w_x) != 2 or len(w_x) != x_feed.shape[0] or \
+            np.shape(w_y) != (pool.shape[0],):
+        raise ShapeMismatch(f"w_x must be W x n_lags and w_y have one entry per "
+                            f"pool row, for a feed of {x_feed.shape[0]} rows and "
+                            f"a pool of {pool.shape[0]}; got {np.shape(w_x)} "
+                            f"and {np.shape(w_y)}")
+    t = min(x_feed.shape[1], pool.shape[1])
     n_lags = w_x.shape[1]
     if not len(eval_times) or eval_times.min() < n_lags:
         got = f"starts at {eval_times.min()}" if len(eval_times) else "is empty"
         raise SeriesTooShort(f"evaluation times for {n_lags} lags must start at "
                              f"{n_lags} or later; the list {got}")
+    if eval_times.max() >= t:
+        raise SeriesTooShort(f"evaluation times must lie before the series end "
+                             f"T = {t}; the last is {eval_times.max()}")
     series_x = [w_x[:, tau - 1] @ _cols(x_feed, eval_times - tau)
                 for tau in range(1, n_lags + 1)]
     return series_x, w_y @ _cols(pool, eval_times)

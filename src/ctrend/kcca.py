@@ -55,10 +55,6 @@ KAPPA_FLOOR = 1e-8
 # relative eigenvalue cutoff separating kernel range from numerical null space
 RANK_RTOL = 1e-12
 
-# rows of one chunk of the dual-route weight product (:func:`_cols_dot`):
-# a multiple of 4, the row group of the OpenBLAS dgemv kernel
-_CHUNK_ROWS = 1024
-
 
 def pearson_correlation(u: np.ndarray, v: np.ndarray) -> float:
     """Pearson correlation, clamped to [-1, 1] against floating point spill.
@@ -162,33 +158,10 @@ def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta[:rank].copy(), np.array(u[:, :rank], order="F")
 
 
-def _rows(m, lo: int, hi: int, idx):
-    """Rows lo:hi of columns ``idx`` of a matrix or of a column source (see
-    :class:`_SideFactor`), sparse where the source is."""
-    if hasattr(m, "rows"):
-        return m.rows(lo, hi, idx)
-    return (m[lo:hi] if hi - lo < m.shape[0] else m)[:, idx]
-
-
 def _cols(m, idx) -> np.ndarray:
     """Dense float columns ``idx`` of a matrix or of a column source."""
-    sub = _rows(m, 0, m.shape[0], idx)
+    sub = m.cols(idx) if hasattr(m, "cols") else m[:, idx]
     return sub.toarray() if sp.issparse(sub) else np.asarray(sub, dtype=float)
-
-
-def _cols_dot(m, idx, c: np.ndarray) -> np.ndarray:
-    """``m[:, idx] @ c`` without a copy of all the columns: in chunks of
-    ``_CHUNK_ROWS`` rows from the top, the last of at least half that.
-    A sparse row sums in column order however its rows are cut; the
-    OpenBLAS dgemv kernel works on groups of 4 rows, which the chunks keep
-    whole. With single-threaded OpenBLAS every row then has the full
-    product's bits: checked on the benchmark seeds, guarded by the chunk
-    tests."""
-    idx = np.asarray(idx, dtype=int)
-    d = m.shape[0]
-    bounds = [*range(0, max(d - _CHUNK_ROWS // 2, 1), _CHUNK_ROWS), d]
-    return np.concatenate([np.asarray(_rows(m, lo, hi, idx) @ c).ravel()
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 class _SideFactor:
@@ -196,11 +169,11 @@ class _SideFactor:
     on the primal or the dual route (see the module docstring).
 
     ``data_full`` is a d x n matrix, or a column source that never holds
-    the matrix: an object with ``shape`` and ``rows(lo, hi, idx)`` (rows
-    lo:hi of columns ``idx``, as slicing a matrix gives them), such as the
-    lag embeddings of ``evaluation``. The dual route reads its columns
-    only to recover the primal weight (:func:`_cols_dot`); its Gram matrix
-    over all columns is ``gram``, which the primal route ignores.
+    it, such as the lag embeddings of ``evaluation``: an object with
+    ``shape``, ``cols(idx)`` (``m[:, idx]``) and ``cols_dot(idx, c)`` (the
+    flat ``m[:, idx] @ c``, formed in pieces of its choosing). The dual
+    route reads columns only for the primal weight; its Gram matrix over
+    all columns is ``gram``, which the primal route ignores.
 
     Both routes hold the same solve-facing representation: ``theta``, the
     kept eigenvalues of the centered training kernel, ``z`` (r x n), its
@@ -249,7 +222,10 @@ class _SideFactor:
     def primal_weight(self, a: np.ndarray) -> np.ndarray:
         if self.primal:
             return self.t.T @ a
-        return _cols_dot(self.data_full, self.train_idx, self.dual_coef(a))
+        m, c = self.data_full, self.dual_coef(a)
+        if hasattr(m, "cols"):
+            return m.cols_dot(self.train_idx, c)
+        return np.asarray(m[:, self.train_idx] @ c).ravel()
 
     def prepare_cols(self, idx) -> np.ndarray:
         """Centered evaluation data for :meth:`project_batch`."""

@@ -54,13 +54,14 @@ from ctrend.exceptions import (
     DuplicateFeed,
     NotEnoughFeeds,
     SeriesTooShort,
+    ShapeMismatch,
     TooFewFolds,
     TooShortForFolds,
     UnknownFeed,
 )
 from ctrend.kcca import (
+    _SideFactor,
     _cols,
-    _cols_dot,
     _psd_eigenbasis,
     center_cross,
     center_kernel,
@@ -122,6 +123,27 @@ def test_plan_folds_too_short():
 def test_plan_folds_needs_two_folds(n_folds):
     with pytest.raises(TooFewFolds):
         plan_folds(100, n_folds, 2)
+
+
+@pytest.mark.parametrize("n_folds, n_lags, name", [
+    (2.5, 1, "n_folds must be an integer"),
+    (3, 1.5, "n_lags must be an integer"),
+    (3, True, "n_lags must be an integer"),
+    (3, -1, "n_lags must be at least 0"),
+], ids=["float-folds", "float-lags", "bool-lags", "negative-lags"])
+def test_plan_folds_names_bad_counts(n_folds, n_lags, name):
+    with pytest.raises(BadSetting, match=name):
+        plan_folds(100, n_folds, n_lags)
+
+
+@pytest.mark.parametrize("axis", [
+    np.r_[np.arange(20), np.arange(19, 40)],  # a repeated index
+    np.arange(40)[::-1],
+    np.arange(40).reshape(2, 20),
+], ids=["repeated", "descending", "2-d"])
+def test_plan_folds_names_an_axis_that_is_not_increasing(axis):
+    with pytest.raises(BadSetting, match="strictly increasing"):
+        plan_folds(axis, 2, 1)
 
 
 def test_plan_folds_invariants():
@@ -438,6 +460,45 @@ def test_lag_series_names_times_that_underrun_the_lags(times, got):
     if len(times):  # a trim below the largest lag: fold 0's times start at 1
         with pytest.raises(SeriesTooShort, match=message):
             lsa_baseline(x, y, plan_folds(39, 2, 1), (1, 2), 1)
+
+
+def _lag_series_case():
+    """A toy feed and pool (T = 300) with weights for 2 lags."""
+    c = generate_toy(ToyConfig(T=300, seed=0))
+    x, pool = c.feed("X").matrix, pool_excluding(c, "X")
+    return x, pool, np.ones((x.shape[0], 2)), np.ones(pool.shape[0])
+
+
+@pytest.mark.parametrize("times, pool_t, last", [
+    (np.arange(2, 301), 300, 300),
+    (np.array([5, 400]), 300, 400),
+    (np.arange(2, 300), 299, 299),  # the pool ends first
+], ids=["at-the-end", "past-the-end", "past-the-pool"])
+def test_lag_series_names_times_past_the_series_end(times, pool_t, last):
+    x, pool, w_x, w_y = _lag_series_case()
+    message = (f"evaluation times must lie before the series end "
+               f"T = {pool_t}; the last is {last}")
+    for emit in (canonical_correlogram, emit_trend):
+        with pytest.raises(SeriesTooShort, match=message):
+            emit(w_x, w_y, x, pool[:, :pool_t], times)
+
+
+@pytest.mark.parametrize("case", ["w_x-rows", "w_x-1d", "w_y-length"])
+def test_lag_series_names_mismatched_shapes(case):
+    x, pool, w_x, w_y = _lag_series_case()
+    if case == "w_x-rows":
+        w_x = w_x[1:]
+    elif case == "w_x-1d":
+        w_x = w_x[:, 0]
+    else:
+        w_y = np.ones(len(w_y) + 1)
+    message = re.escape(
+        f"w_x must be W x n_lags and w_y have one entry per pool row, for a "
+        f"feed of {x.shape[0]} rows and a pool of {pool.shape[0]}; got "
+        f"{np.shape(w_x)} and {np.shape(w_y)}")
+    for emit in (canonical_correlogram, emit_trend):
+        with pytest.raises(ShapeMismatch, match=message):
+            emit(w_x, w_y, x, pool, np.arange(2, 200))
 
 
 def test_correlogram_bounds_and_degenerate():
@@ -1148,54 +1209,87 @@ def _dual_feed(w=300, t=120, seed=7):
     return sp.csc_matrix(x), sp.csc_matrix(rng.random((w, t)))
 
 
+def _force_dense_copies(monkeypatch):
+    """The working set of a feed no wider than T - trim, whatever its width:
+    dense copies of the feed and pool under the size cap."""
+    monkeypatch.setattr(evaluation, "_dense_copy", lambda w, t, trim: True)
+
+
 def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
-    """W = 1003 is not a multiple of 4, and the first 1024-row chunk of the
-    lag-3 embedding straddles lag blocks 0 and 1. Plain matrices, such as
-    the pool side's, are cut the same way."""
+    """The dual-route primal weight, formed one lag block at a time, against
+    the product with a copy of all the training columns of the embedding:
+    bit for bit on sparse columns, where a row sums in column order however
+    its rows are cut, and on a plain matrix, which is not cut. A dense lag
+    block may round differently in the last bit (W = 1003 is not a multiple
+    of 4, the row group of OpenBLAS's dgemv)."""
     rng = np.random.default_rng(11)
     w, t, lag = 1003, 160, 3
     x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.1)
     idx = np.sort(rng.choice(t - lag, 120, replace=False))
-    c = rng.standard_normal(len(idx))
-    full = embed_columns(x, lag)[:, idx]
-    sparse_full = embed_columns(sp.csc_matrix(x), lag)[:, idx]
+    a = rng.standard_normal(len(idx))  # coefficients over the kept ranks
     grid = HyperGrid(lags=(lag,), kappas=(1.0,))
-    # W > T - trim: a csc feed keeps sparse columns, cut in sparse chunks
-    for x_in, want in ((x, full), (sp.csc_matrix(x), sparse_full)):
+
+    def weights(x_in):
+        """The primal weight from the lag embedding and from its full copy."""
         emb = _FeedData(x_in, x_in, grid, lag, t).emb[lag]  # no Gram needed
-        assert emb.dense != sp.issparse(x_in)
-        assert np.array_equal(_cols_dot(emb, idx, c), want @ c)
         m = embed_columns(x_in, lag)
-        assert np.array_equal(_cols_dot(m, idx, c),
-                              np.asarray(m[:, idx] @ c).ravel())
+        gram = linear_kernel(m)
+        side = _SideFactor(emb, idx, gram)
+        assert not side.primal
+        plain = _SideFactor(m, idx, gram)
+        a_kept = a[:len(side.theta)]
+        return emb, side.primal_weight(a_kept), plain.primal_weight(a_kept)
+
+    # W > T - trim: a csc feed keeps sparse columns, a dense one dense ones
+    emb, got, want = weights(sp.csc_matrix(x))
+    assert not emb.dense and np.array_equal(got, want)
+    emb, got, want = weights(x)
+    assert emb.dense and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # a dense copy of the csc feed, as a feed no wider than T - trim has
-    monkeypatch.setattr(evaluation, "_dense_copy",
-                        lambda m, trim: evaluation._small_sparse(m))
-    emb = _FeedData(sp.csc_matrix(x), x, grid, lag, t).emb[lag]
-    assert emb.dense
-    assert np.array_equal(_cols_dot(emb, idx, c), full @ c)
+    _force_dense_copies(monkeypatch)
+    emb, got, want = weights(sp.csc_matrix(x))
+    assert emb.dense and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("chunk", [4, 8, 12, 64])
-def test_dual_weight_small_chunks_straddle_lag_blocks(monkeypatch, chunk):
-    rng = np.random.default_rng(chunk)
-    w, t, lag = 7, 40, 3
+def test_dual_weight_allocates_no_more_than_one_lag_block():
+    """On a dense embedding that takes the dual route (W <= T - trim <
+    W * L), recovering the primal weight copies one lag block of the
+    training columns at a time, never all of them."""
+    rng = np.random.default_rng(3)
+    w, t, lag = 60, 160, 4
     x = rng.standard_normal((w, t))
-    idx = np.arange(5, 30)
-    c = rng.standard_normal(len(idx))
-    emb = _FeedData(x, x, HyperGrid(lags=(lag,), kappas=(1.0,)), lag, t).emb[lag]
-    monkeypatch.setattr("ctrend.kcca._CHUNK_ROWS", chunk)
-    assert np.array_equal(_cols_dot(emb, idx, c), embed_columns(x, lag)[:, idx] @ c)
+    grid = HyperGrid(lags=(lag,), kappas=(1.0,))
+    data = _FeedData(x, x, grid, lag, w * lag - 1)
+    emb = data.emb[lag]
+    assert emb.dense and w <= t - lag < w * lag
+    idx = np.arange(t - lag)
+    side = _SideFactor(emb, idx, data.gram_x[lag])
+    assert not side.primal
+    a = rng.standard_normal(len(side.theta))
+    block_bytes = 8 * w * len(idx)
+    tracemalloc.start()
+    try:
+        weight = side.primal_weight(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weight.shape == (w * lag,)
+    assert peak < 1.5 * block_bytes
+    full = embed_columns(x, lag) @ side.dual_coef(a)
+    assert np.abs(weight - full).max() <= 1e-14 * np.abs(full).max()
 
 
 def test_leader_shaped_feed_builds_no_gram(monkeypatch):
-    embeds = []
+    """A feed no wider than its folds' training sets reads no lag-max
+    embedding for Grams; a dual feed reads it once per working set."""
+    reads = []
 
-    def counted(x, n_lags, _fn=evaluation.embed_columns):
-        embeds.append(n_lags)
-        return _fn(x, n_lags)
+    def counted(x, trim, top, lags, small, _fn=evaluation._lag_grams):
+        if lags:
+            reads.append(top)
+        return _fn(x, trim, top, lags, small)
 
-    monkeypatch.setattr(evaluation, "embed_columns", counted)
+    monkeypatch.setattr(evaluation, "_lag_grams", counted)
     c = generate_leader(LeaderConfig(F=4, W=6, T=300, seed=5))
     grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
     plan = plan_folds(c.T - 3, 3, 3)
@@ -1204,12 +1298,32 @@ def test_leader_shaped_feed_builds_no_gram(monkeypatch):
                          [f.train_indices for f in plan.folds], 3, 3))
     assert data.gram_x == {} and data.gram_y is None
     analyze(c, grid, n_folds=3, n_inner=3, with_lsa=True, with_shuffle=True)
-    assert embeds == []
-    # a dual corpus embeds once per analysed feed and per shuffle control
+    assert reads == []
+    # a dual corpus reads it once per analysed feed and per shuffle control
     d = _sparse_dual_corpus(3)
     analyze(d, grid, n_folds=3, n_inner=2, feed_ids=["f0", "f1"],
             with_shuffle=True)
-    assert embeds == [3] * 4
+    assert reads == [3] * 4
+
+
+@pytest.mark.parametrize("limit", [evaluation._DENSE_LIMIT, 0],
+                         ids=["dense", "sparse"])
+def test_lag_grams_of_a_csc_feed_are_kernels_of_embed_columns(monkeypatch, limit):
+    """Each lag's Gram is the kernel of the bottom row block of the public
+    lag-max embedding, densified column-major under the size cap, bit for
+    bit."""
+    x, pool = _dual_feed()
+    w, t = x.shape
+    trim, top = 4, 3
+    monkeypatch.setattr(evaluation, "_DENSE_LIMIT", limit)
+    data = _FeedData(x, pool, HyperGrid(lags=(1, 2, 3), kappas=(1.0,)), trim, 80)
+    emb_max = embed_columns(x[:, trim - top:], top)
+    if limit:
+        emb_max = emb_max.toarray(order="F")
+    assert sorted(data.gram_x) == [1, 2, 3]
+    for lag in (1, 2, 3):
+        assert np.array_equal(data.gram_x[lag],
+                              linear_kernel(emb_max[w * (top - lag):]))
 
 
 def test_dual_feed_keeps_no_array_as_large_as_the_lag_max_embedding():
@@ -1243,8 +1357,7 @@ def test_wide_sparse_feed_keeps_a_sparse_working_set(monkeypatch):
     assert data.x_raw is x and data.pool_raw is pool
     assert not any(emb.dense for emb in data.emb.values())
     assert biggest < 8 * w * t
-    monkeypatch.setattr(evaluation, "_dense_copy",
-                        lambda m, trim: evaluation._small_sparse(m))
+    _force_dense_copies(monkeypatch)
     dense = _FeedData(x, pool, grid, 3, 80)
     assert isinstance(dense.x_raw, np.ndarray) and dense.emb[3].dense
     assert sorted(data.gram_x) == sorted(dense.gram_x) == [1, 2, 3]
@@ -1262,8 +1375,7 @@ def test_analysis_on_a_sparse_working_set_matches_dense_copies(monkeypatch):
     assert c.W > c.T - SMALL_GRID.max_lag
     kw = dict(grid=SMALL_GRID, n_folds=3, n_inner=3, seed=5, with_lsa=True)
     sparse = analyze(c, **kw)
-    monkeypatch.setattr(evaluation, "_dense_copy",
-                        lambda m, trim: evaluation._small_sparse(m))
+    _force_dense_copies(monkeypatch)
     dense = analyze(c, **kw)
     assert sparse.ranking.entries == dense.ranking.entries
     for rs, rd in zip(sparse.reports, dense.reports):

@@ -43,13 +43,16 @@ def feed_cases(draw):
 
 
 def _materialized(x_in, grid, trim):
-    """The lag embeddings as the Grams see them: each lag is a row block
-    of a lag-max embedding, stacked from a copy of the feed that
-    ``_DENSE_LIMIT`` densifies."""
-    x = x_in.toarray() if evaluation._small_sparse(x_in) else x_in
+    """The lag embeddings as the Grams see them: each lag is a row block of
+    the public lag-max embedding, dense and column-major where the feed is
+    dense or under the size cap ``_DENSE_LIMIT`` (W x T cells)."""
     top = grid.max_lag
-    emb_max = embed_columns(x[:, trim - top:], top)
-    return {lag: emb_max[x.shape[0] * (top - lag):] for lag in grid.lags}
+    emb_max = embed_columns(x_in[:, trim - top:], top)
+    w, t = x_in.shape
+    if not sp.issparse(x_in) or w * t <= evaluation._DENSE_LIMIT:
+        emb_max = np.asfortranarray(emb_max.toarray() if sp.issparse(emb_max)
+                                    else emb_max)
+    return {lag: emb_max[w * (top - lag):] for lag in grid.lags}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -93,12 +96,13 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
 @given(case=feed_cases(), as_input=st.sampled_from([np.asarray, sp.csc_matrix,
                                                     sp.csr_matrix]))
 def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
-    """Each Gram is the kernel of the old row block, whose type and memory
-    layout its input keeps too (BLAS may round differently per layout).
-    The pool's Gram is built exactly when the pool is wider than
-    ``min_train``, and is the kernel of the trimmed pool as a copy that
-    ``_DENSE_LIMIT`` densifies gives it, whether or not the working set
-    keeps that copy."""
+    """Each Gram is the kernel of a row block of the public lag-max
+    embedding, whose type and memory layout its input keeps too (BLAS may
+    round differently per layout): dense and column-major under the size
+    cap, whatever the input's format. The pool's Gram is built exactly when
+    the pool is wider than ``min_train``, and is the kernel of the trimmed
+    pool by the same rule, whether or not the working set keeps a dense
+    copy."""
     x, pool, grid, trim, limit = case
     x_in = as_input(x)
     w, t = x.shape
@@ -128,7 +132,9 @@ def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
         assert seen[old[lag].shape[0]] == layout(old[lag])
     if pool.shape[0] > min_train:
         pool_in = sp.csc_matrix(pool)
-        old_pool = (pool_in.toarray() if w * t <= limit else pool_in)[:, trim:]
+        old_pool = pool_in[:, trim:]
+        if w * t <= limit:
+            old_pool = old_pool.toarray(order="F")
         assert len(pool_calls) == 1
         assert layout(pool_calls[0]) == layout(old_pool)
         assert np.array_equal(data.gram_y, linear_kernel(old_pool))
