@@ -16,7 +16,7 @@ import logging
 import math
 import os
 import sys
-from datetime import datetime, timedelta
+from datetime import timedelta
 from zoneinfo import ZoneInfo
 
 from . import __version__
@@ -44,31 +44,45 @@ from .synth import LeaderConfig, ToyConfig, generate_leader, generate_toy, write
 log = logging.getLogger("ctrend")
 
 
+def _grid_spec(spec: str, convert, flag: str, forms: str) -> tuple[tuple, bool]:
+    """The numbers of a grid spec and whether it is a ``lo..hi`` range, or a
+    ValueError that names the flag, the token that is not a number and the
+    accepted forms."""
+    spec = spec.strip()
+    is_range = ".." in spec
+    numbers = []
+    for token in spec.split("..", 1) if is_range else spec.split(","):
+        try:
+            numbers.append(convert(token))
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            where = "" if token == spec else f" in {spec!r}"
+            raise ValueError(f"{flag}: {token.strip()!r}{where} is not {kind}; "
+                             f"write {forms}") from None
+    return tuple(numbers), is_range
+
+
 def parse_lags(spec: str) -> tuple[int, ...]:
     """Lag grid syntax: ``1..10``, ``5`` or ``1,2,5``."""
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in spec.split(","))
+    lags, is_range = _grid_spec(spec, int, "--lags",
+                                "a range 1..10, one lag 5 or a list 1,2,5")
+    return tuple(range(lags[0], lags[1] + 1)) if is_range else lags
 
 
 def parse_kappas(spec: str) -> tuple[float, ...]:
     """Kappa grid syntax: ``1e-5..1e1`` (decades) or ``1e-3,0.1,1``."""
-    spec = spec.strip()
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        ends = float(lo_s), float(hi_s)
-        if not all(0.0 < e < math.inf for e in ends):
-            raise ValueError(f"kappa range ends must be positive and finite, "
-                             f"got {spec}")
-        lo, hi = math.log10(ends[0]), math.log10(ends[1])
-        lo_i, hi_i = round(lo), round(hi)
-        if abs(lo - lo_i) > 1e-9 or abs(hi - hi_i) > 1e-9:
-            raise ValueError("kappa ranges must span whole decades, "
-                             "e.g. 1e-5..1e1")
-        return tuple(10.0 ** k for k in range(lo_i, hi_i + 1))
-    return tuple(float(p) for p in spec.split(","))
+    ends, is_range = _grid_spec(spec, float, "--kappas",
+                                "a decade range 1e-5..1e1 or a list 1e-3,0.1,1")
+    if not is_range:
+        return ends
+    if not all(0.0 < e < math.inf for e in ends):
+        raise ValueError(f"kappa range ends must be positive and finite, "
+                         f"got {spec.strip()}")
+    lo, hi = math.log10(ends[0]), math.log10(ends[1])
+    lo_i, hi_i = round(lo), round(hi)
+    if abs(lo - lo_i) > 1e-9 or abs(hi - hi_i) > 1e-9:
+        raise ValueError("kappa ranges must span whole decades, e.g. 1e-5..1e1")
+    return tuple(10.0 ** k for k in range(lo_i, hi_i + 1))
 
 
 def _at_least(lo: int):
@@ -190,10 +204,6 @@ def _cmd_synth(args, parser) -> int:
     return 0
 
 
-def _floor_to_hour(dt: datetime) -> datetime:
-    return dt.replace(minute=0, second=0, microsecond=0)
-
-
 def _cmd_featurize(args, parser) -> int:
     try:
         tz = ZoneInfo(args.timezone)
@@ -217,7 +227,8 @@ def _cmd_featurize(args, parser) -> int:
     else:
         if not docs:
             parser.error("--t0 is required when the document file is empty")
-        t0 = _floor_to_hour(min(d.timestamp for d in docs).astimezone(tz))
+        first = min(d.timestamp for d in docs).astimezone(tz)
+        t0 = first.replace(minute=0, second=0, microsecond=0)  # to the hour
     bin_width = args.bin_hours
     if args.T is not None:
         T = args.T
@@ -251,12 +262,14 @@ def _cmd_analyze(args, parser) -> int:
         grid = HyperGrid(parse_lags(args.lags), parse_kappas(args.kappas))
     except ValueError as e:
         parser.error(str(e))
+    if args.feeds is not None and not args.feeds.strip():
+        parser.error("--feeds is empty; name a feed, or leave the flag out for all")
     seed = _resolve_seed(args.seed, parser)
     corpus = load_corpus(args.corpus)
     corpus_hash = corpus_content_hash(args.corpus)
     log.info("loaded corpus %s: %d feeds, W=%d, T=%d (%s)", args.corpus,
              corpus.F, corpus.W, corpus.T, corpus_hash[:12])
-    feed_filter = args.feeds.split(",") if args.feeds else None
+    feed_filter = args.feeds.split(",") if args.feeds is not None else None
     result = analyze(corpus, grid, n_folds=args.folds, seed=seed,
                      feed_ids=feed_filter, with_lsa=args.baseline_lsa,
                      with_shuffle=args.shuffle_control, jobs=args.jobs,
@@ -270,11 +283,11 @@ def _cmd_analyze(args, parser) -> int:
     return 0
 
 
-def _cmd_reemit(args, parser, kind: str) -> int:
+def _cmd_reemit(args, parser) -> int:
     models = load_models(args.models)
     corpus = load_corpus(args.corpus)
     check_corpus_binding(models, corpus_content_hash(args.corpus))
-    if kind == "correlogram":
+    if args.command == "correlogram":
         write_correlogram_from_models(models, corpus, args.feed, args.out)
     else:
         write_topwords_from_models(models, corpus, args.feed, args.out, args.top)
@@ -285,25 +298,17 @@ def _cmd_reemit(args, parser, kind: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    run = {"synth": _cmd_synth, "featurize": _cmd_featurize,
+           "analyze": _cmd_analyze, "correlogram": _cmd_reemit,
+           "topwords": _cmd_reemit}[args.command]
     try:
-        if args.command == "synth":
-            return _cmd_synth(args, parser)
-        if args.command == "featurize":
-            return _cmd_featurize(args, parser)
-        if args.command == "analyze":
-            return _cmd_analyze(args, parser)
-        if args.command == "correlogram":
-            return _cmd_reemit(args, parser, "correlogram")
-        if args.command == "topwords":
-            return _cmd_reemit(args, parser, "topwords")
-        parser.error(f"unknown command {args.command!r}")
+        return run(args, parser)
     except CTError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

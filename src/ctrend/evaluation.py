@@ -18,7 +18,8 @@ so no full copy of the training columns is made. The solver core is in
 fit, which the final fold fit shares with ``solve_kcca``. Inner folds on
 the primal route (dense embedding no wider than the fold's training set)
 are scored in memory-bounded batches from segment moments
-(:func:`_score_fold_primal`), the others one at a time on side factors
+(:func:`_score_fold_primal`, one stacked solve per lag whatever ranks the
+folds keep), the others one at a time on side factors
 (:func:`_score_fold_generic`). :func:`_fit_feed_fold` lays the flat feed
 weight out as ``w_x``, W x n_lags, column tau-1 for lag tau.
 
@@ -71,6 +72,7 @@ from .kcca import (
     _canonical_pairs,
     _check_kappas,
     _cols,
+    _divide_or_zero,
     _fit_pair,
     _psd_eigenbasis,
     _SideFactor,
@@ -324,10 +326,7 @@ def _pearson_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     dv = v - v.mean(axis=1, keepdims=True)
     den = np.linalg.norm(du, axis=1) * np.linalg.norm(dv, axis=1)
     num = np.einsum("ij,ij->i", du, dv)
-    out = np.zeros(u.shape[0])
-    ok = den > 0
-    out[ok] = np.clip(num[ok] / den[ok], -1.0, 1.0)
-    return out
+    return np.clip(_divide_or_zero(num, den), -1.0, 1.0)
 
 
 def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
@@ -385,39 +384,34 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     the lag-L covariance is the lag-max one's trailing sub-block of
     ``data.emb[L].shape[0]`` rows, each lag runs one ``eigh`` over
     the folds' covariance blocks, and the top pair comes from the small
-    side via :func:`_top_pairs`. Folds are grouped by kept ranks. A fold
-    whose pool side has no variance, or a lag whose feed side has none,
-    scores zero. Returns one (lags, kappas) table per fold in ``fold_ids``.
+    side via one :func:`_top_pairs` call per lag for all folds. A cut
+    eigenvalue is zero and whitens to zero, so folds of any kept ranks share
+    the solve, and a fold with no pool variance, or a lag with no feed
+    variance, scores zero. Returns a (lags, kappas) table per fold.
     """
     grid = data.grid
     d_max = data.emb[grid.max_lag].shape[0]
     n_k = len(kappas)
     means, scatter = _fold_moments(data, plan, fold_ids)
-    theta_y, p_y, rank_y = _batched_eigenbases(scatter[:, d_max:, d_max:])
-    sig_y = np.sqrt(np.maximum(theta_y, 0.0))
+    theta_y, p_y = _batched_eigenbases(scatter[:, d_max:, d_max:])
+    sig_y = np.sqrt(theta_y)[:, None, :]
+    white_y = _divide_or_zero(p_y, sig_y)
     # per fold, the feed- and pool-side weights of every (lag, kappa) row
     w_x = np.zeros((len(fold_ids), len(grid.lags), n_k, d_max))
     w_y = np.zeros((len(fold_ids), len(grid.lags), n_k, theta_y.shape[1]))
-    live = np.flatnonzero(rank_y > 0)
-    for li, lag in enumerate(grid.lags if len(live) else ()):
+    for li, lag in enumerate(grid.lags):
         rows = slice(d_max - data.emb[lag].shape[0], d_max)
-        theta_x, p_x, rank_x = _batched_eigenbases(scatter[live, rows, rows])
-        sig_x = np.sqrt(np.maximum(theta_x, 0.0))
-        ranks = np.stack([rank_x, rank_y[live]], axis=1)
-        for rx, ry in sorted({tuple(r) for r in ranks if r[0] > 0}):
-            g = np.flatnonzero((ranks[:, 0] == rx) & (ranks[:, 1] == ry))
-            f = live[g]
-            px, sx = p_x[g, :, :rx], sig_x[g, :rx]
-            py, sy = p_y[f, :, :ry], sig_y[f, :ry]
-            cross = (np.swapaxes(px / sx[:, None, :], 1, 2)
-                     @ scatter[f, rows, d_max:]) @ (py / sy[:, None, :])
-            _, a, b = _top_pairs(theta_x[g, :rx], theta_y[f, :ry], cross, kappas)
-            w_x[f, li, :, rows] = (a * sx[:, None, :]) @ np.swapaxes(px, 1, 2)
-            w_y[f, li] = (b * sy[:, None, :]) @ np.swapaxes(py, 1, 2)
+        theta_x, p_x = _batched_eigenbases(scatter[:, rows, rows])
+        sig_x = np.sqrt(theta_x)[:, None, :]
+        cross = (np.swapaxes(_divide_or_zero(p_x, sig_x), 1, 2)
+                 @ scatter[:, rows, d_max:]) @ white_y
+        _, a, b = _top_pairs(theta_x, theta_y, cross, kappas)
+        w_x[:, li, :, rows] = (a * sig_x) @ np.swapaxes(p_x, 1, 2)
+        w_y[:, li] = (b * sig_y) @ np.swapaxes(p_y, 1, 2)
 
     tables = np.zeros((len(fold_ids), len(grid.lags), n_k))
-    for f in live:
-        test = plan.folds[fold_ids[f]].test_indices
+    for f, i in enumerate(fold_ids):
+        test = plan.folds[i].test_indices
         x_te = _cols(data.emb[grid.max_lag], test) - means[f, :d_max, None]
         y_te = _cols(data.pool_trim, test) - means[f, d_max:, None]
         u = w_x[f].reshape(-1, d_max) @ x_te

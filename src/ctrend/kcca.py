@@ -13,7 +13,8 @@ alpha = U a and rescaling by sqrt(theta^2 + kappa) turns the system into a
 plain singular value problem on a small matrix whose top singular value is
 the eigenvalue. Eigenvectors carrying lambda != 0 always lie in the kernel
 ranges (the kappa I term forces any null-space component to zero), so the
-reduction is exact, not an approximation.
+reduction is exact, not an approximation. A cut eigenvalue is zero
+(:func:`_batched_eigenbases`).
 
 Each side is factored once (:class:`_SideFactor`) in whichever space is
 smaller: the covariance of its dense training columns when the feature
@@ -133,29 +134,28 @@ class KccaModel:
     kappa: float
 
 
-def _batched_eigenbases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batched_eigenbases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a centered PSD kernel, or a stack of them, in one
-    ``eigh`` call: descending, with the rank each keeps above RANK_RTOL
-    times its top value (0 when no variance is left)."""
+    ``eigh`` call, descending. The spectrum cut: an eigenvalue at or below
+    RANK_RTOL times the top one is set to 0."""
     try:
         theta, u = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"kernel eigendecomposition failed: {e}") from None
     theta = theta[..., ::-1]
-    u = u[..., ::-1]
     top = theta.max(axis=-1, initial=0.0, keepdims=True)
-    rank = np.where(top[..., 0] > 0.0, (theta > top * RANK_RTOL).sum(axis=-1), 0)
-    return theta, u, rank
+    return np.where(theta > top * RANK_RTOL, theta, 0.0), u[..., ::-1]
 
 
 def _psd_eigenbasis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One kernel's kept eigenpairs, or DegenerateProjection. The vectors
     are a column-major copy: the last bits of the BLAS calls downstream
     depend on that layout."""
-    theta, u, rank = _batched_eigenbases(k)
+    theta, u = _batched_eigenbases(k)
+    rank = np.count_nonzero(theta)
     if rank == 0:
         raise DegenerateProjection("kernel has no positive eigenvalue")
-    return theta[:rank].copy(), np.array(u[:, :rank], order="F")
+    return theta[:rank], np.array(u[:, :rank], order="F")
 
 
 def _cols(m, idx) -> np.ndarray:
@@ -239,6 +239,12 @@ class _SideFactor:
         return a_rows @ self.t @ prepared
 
 
+def _divide_or_zero(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b, and 0 where b is not positive: a component, pair or series
+    with nothing left contributes nothing."""
+    return np.divide(a, b, out=np.zeros_like(a), where=b > 0)
+
+
 def _check_kappas(kappas) -> np.ndarray:
     """The regularizers as a float array. Raises BadKappa for one that is
     not finite and SingularRhs for one below KAPPA_FLOOR."""
@@ -309,8 +315,7 @@ def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
     top = vecs[..., -1]
     other = ((m if small_right else mt) @ top[..., None])[..., 0]
     s = np.linalg.norm(other, axis=-1)
-    other = np.divide(other, s[..., None], out=np.zeros_like(other),
-                      where=s[..., None] > 0)
+    other = _divide_or_zero(other, s[..., None])
     u, v = (other, top) if small_right else (top, other)
     return s, u / sqrt_dx, v / sqrt_dy
 

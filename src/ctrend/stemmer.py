@@ -130,17 +130,12 @@ def stem(word: str) -> str:
     if w.endswith("y") and _contains_vowel(w[:-1]):
         w = w[:-1] + "i"
 
-    # step 2
-    for suffix, repl in _STEP2:
-        w, matched = _replace_if(w, suffix, repl, 0)
-        if matched:
-            break
-
-    # step 3
-    for suffix, repl in _STEP3:
-        w, matched = _replace_if(w, suffix, repl, 0)
-        if matched:
-            break
+    # steps 2 and 3: the first matching suffix of each table
+    for table in (_STEP2, _STEP3):
+        for suffix, repl in table:
+            w, matched = _replace_if(w, suffix, repl, 0)
+            if matched:
+                break
 
     # step 4
     for suffix in _STEP4:

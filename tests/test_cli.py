@@ -442,6 +442,36 @@ def test_bad_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lags", "a", "--lags: 'a' is not an integer"),
+    ("--lags", "1..", "--lags: '' in '1..' is not an integer"),
+    ("--lags", "1..x", "--lags: 'x' in '1..x' is not an integer"),
+    ("--kappas", "x", "--kappas: 'x' is not a number"),
+    ("--kappas", "1e-3,,1", "--kappas: '' in '1e-3,,1' is not a number"),
+    ("--kappas", "1e-3..x", "--kappas: 'x' in '1e-3..x' is not a number")])
+def test_analyze_grid_syntax_error_names_the_flag(tmp_path, capsys, flag,
+                                                  value, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--corpus", tmp_path / "c", "--out", tmp_path / "out",
+             flag, value])
+    assert exc.value.code == 2
+    forms = {"--lags": "write a range 1..10, one lag 5 or a list 1,2,5",
+             "--kappas": "write a decade range 1e-5..1e1 or a list 1e-3,0.1,1"}
+    assert f"error: {message}; {forms[flag]}\n" in capsys.readouterr().err
+
+
+def test_analyze_empty_feed_filter_is_usage_error(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    run(["synth", "--mode", "toy", "--seed", 3, "--T", 400, "--out", corpus_dir])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
+             "--folds", 4, "--inner-folds", 4, "--lags", "1..3", "--feeds", ""])
+    assert exc.value.code == 2
+    assert "error: --feeds is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_names_infeasible_inner_cv(tmp_path, capsys):
     corpus_dir = tmp_path / "toy"
     assert run(["synth", "--mode", "toy", "--seed", 1, "--T", 140,

@@ -1,6 +1,7 @@
 import importlib.util
 import re
 import tracemalloc
+import warnings
 import weakref
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,6 +64,7 @@ from ctrend.kcca import (
     _SideFactor,
     _cols,
     _psd_eigenbasis,
+    _top_pairs,
     center_cross,
     center_kernel,
     linear_kernel,
@@ -1062,10 +1064,9 @@ def test_batched_scorer_matches_generic_on_leader():
     assert np.abs(batched - generic).max() < 1e-12
 
 
-def test_batched_scorer_rank_cut_groups_folds():
+def _rank_cut_fixture():
     """Duplicated feed rows force a rank cut everywhere; a term that only
-    occurs inside one inner test block cuts that fold's rank further, so
-    the folds fall into different rank groups."""
+    occurs inside one inner test block cuts that fold's rank further."""
     rng = np.random.default_rng(7)
     T, grid = 600, HyperGrid(lags=(1, 2, 3), kappas=(1e-3, 1e-1, 1.0))
     latent = rng.standard_normal(T + 2)
@@ -1078,14 +1079,75 @@ def test_batched_scorer_rank_cut_groups_folds():
     hidden = plan.folds[1].test_indices + grid.max_lag  # raw times
     x[4, hidden] = rng.standard_normal(len(hidden))
     data, _ = _scoring_data(x, pool, grid, 5, 5)
+    return data, plan
 
-    d_max = data.emb[grid.max_lag].shape[0]
-    _, scatter = _fold_moments(data, plan, range(len(plan.folds)))
-    _, _, ranks = _batched_eigenbases(scatter[:, :d_max, :d_max])
+
+def _kept_ranks(data, plan, fold_ids, side):
+    """Per fold, the kept rank of the lag-max feed side or of the pool side."""
+    d_max = data.emb[data.grid.max_lag].shape[0]
+    _, scatter = _fold_moments(data, plan, fold_ids)
+    block = slice(None, d_max) if side == "x" else slice(d_max, None)
+    theta, _ = _batched_eigenbases(scatter[:, block, block])
+    return np.count_nonzero(theta, axis=-1), d_max
+
+
+def test_batched_scorer_rank_cut_groups_folds():
+    """The folds keep different ranks, and one stacked solve per lag takes
+    them all."""
+    data, plan = _rank_cut_fixture()
+    ranks, d_max = _kept_ranks(data, plan, range(len(plan.folds)), "x")
     assert ranks.max() < d_max
     assert ranks[1] < ranks[0] == ranks[2]
 
     batched, generic = _batched_tables(data, plan), _generic_tables(data, plan)
+    assert np.abs(batched - generic).max() < 1e-12
+
+
+def test_batched_scorer_one_top_pairs_call_per_lag(monkeypatch):
+    data, plan = _rank_cut_fixture()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return _top_pairs(*args)
+
+    monkeypatch.setattr(evaluation, "_top_pairs", counted)
+    _batched_tables(data, plan)
+    assert len(calls) == len(data.grid.lags)
+    assert all(shape[0] == len(plan.folds) for shape in calls)
+
+
+def test_batched_scorer_mixes_full_cut_and_constant_pool_folds():
+    """One batch holds a full-rank fold, a rank-cut fold and a fold that
+    trains on a constant pool. The pool varies only in fold 2's test block
+    and its discard buffer, so fold 2 trains on a constant pool and fold 3
+    tests on a few varying pool samples; a feed row that varies only around
+    fold 3's test block cuts fold 3's rank alone."""
+    rng = np.random.default_rng(11)
+    T, grid = 600, HyperGrid(lags=(1, 2, 3), kappas=(1e-3, 1e-1, 1.0))
+    x = np.vstack([rng.standard_normal((3, T)), np.zeros((1, T))])
+    pool = np.full((3, T), 0.5)
+    _, plan = _scoring_data(x, pool, grid, 5, 5)
+    hidden = plan.folds[3].test_indices + grid.max_lag  # raw times
+    x[3, hidden] = rng.standard_normal(len(hidden))
+    fold = plan.folds[2]
+    times = np.concatenate((fold.test_indices, fold.discarded_indices)) \
+        + grid.max_lag
+    pool[:, times] = x[:, times - 1].sum(axis=0) \
+        + 0.1 * rng.standard_normal((3, len(times)))
+    data, _ = _scoring_data(x, pool, grid, 5, 5)
+    ids = [0, 2, 3]
+    ranks_x, d_max = _kept_ranks(data, plan, ids, "x")
+    ranks_y, _ = _kept_ranks(data, plan, ids, "y")
+    assert ranks_x[0] == d_max and ranks_x[2] < d_max
+    assert ranks_y[1] == 0 and ranks_y[0] == ranks_y[2] == 3
+
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = _score_fold_primal(data, plan, ids, np.asarray(grid.kappas))
+    generic = _generic_tables(data, plan)[ids]
+    assert np.all(batched[1] == 0.0)
+    assert np.abs(generic[2]).max() > 0.05
     assert np.abs(batched - generic).max() < 1e-12
 
 
@@ -1432,7 +1494,8 @@ def test_batched_eigenbases_bit_equal_per_matrix(d):
     a = rng.standard_normal((6, d + 4, d + 9))
     full = a @ a.transpose(0, 2, 1)
     for stack in (full[:, :d, :d], full[:, 4:, 4:]):  # sub-block views
-        theta, u, rank = _batched_eigenbases(stack)
+        theta, u = _batched_eigenbases(stack)
+        rank = np.count_nonzero(theta, axis=-1)
         for i in range(len(stack)):
             ref_theta, ref_u = _psd_eigenbasis(stack[i])
             assert rank[i] == len(ref_theta)
