@@ -262,14 +262,16 @@ def _cmd_analyze(args, parser) -> int:
         grid = HyperGrid(parse_lags(args.lags), parse_kappas(args.kappas))
     except ValueError as e:
         parser.error(str(e))
-    if args.feeds is not None and not args.feeds.strip():
-        parser.error("--feeds is empty; name a feed, or leave the flag out for all")
+    feed_filter = args.feeds.split(",") if args.feeds is not None else None
+    if feed_filter is not None and not all(f.strip() for f in feed_filter):
+        what = f"{args.feeds!r} has an empty item" if args.feeds.strip() else "is empty"
+        parser.error(f"--feeds {what}; name feeds separated by single commas, or "
+                     f"leave the flag out for all")
     seed = _resolve_seed(args.seed, parser)
     corpus = load_corpus(args.corpus)
     corpus_hash = corpus_content_hash(args.corpus)
     log.info("loaded corpus %s: %d feeds, W=%d, T=%d (%s)", args.corpus,
              corpus.F, corpus.W, corpus.T, corpus_hash[:12])
-    feed_filter = args.feeds.split(",") if args.feeds is not None else None
     result = analyze(corpus, grid, n_folds=args.folds, seed=seed,
                      feed_ids=feed_filter, with_lsa=args.baseline_lsa,
                      with_shuffle=args.shuffle_control, jobs=args.jobs,

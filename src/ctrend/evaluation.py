@@ -21,7 +21,8 @@ are scored in memory-bounded batches from segment moments
 (:func:`_score_fold_primal`, one stacked solve per lag whatever ranks the
 folds keep), the others one at a time on side factors
 (:func:`_score_fold_generic`). :func:`_fit_feed_fold` lays the flat feed
-weight out as ``w_x``, W x n_lags, column tau-1 for lag tau.
+weight out as ``w_x``, W x n_lags, column tau-1 for lag tau. The LSA
+baseline takes its directions from the batch's ``kcca._top_singular``.
 
 :func:`analyze` runs stateless tasks (:func:`_fit_run`), feed-major: each
 feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
@@ -74,9 +75,9 @@ from .kcca import (
     _cols,
     _divide_or_zero,
     _fit_pair,
-    _psd_eigenbasis,
     _SideFactor,
     _top_pairs,
+    _top_singular,
 )
 
 # dense conversion threshold for embedded matrices (elements)
@@ -571,23 +572,12 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
 # baselines and controls
 
 def lsa_direction(m) -> np.ndarray:
-    """Unit-norm top eigenvector of M M^T, via the smaller side's Gram.
-
-    Sign fixed so the largest-magnitude entry is positive.
-    """
-    d, n = m.shape
-    if d == 1:  # M M^T is a scalar: the direction is +1 unless M is zero
-        if not abs(m).max() > 0:
-            raise DegenerateProjection("kernel has no positive eigenvalue")
-        return np.ones(1)
-    if d <= n or n == 1:
-        theta, basis = _psd_eigenbasis(linear_kernel(m.T))
-        v = basis[:, 0]
-    else:
-        theta, basis = _psd_eigenbasis(linear_kernel(m))
-        u = basis[:, 0]
-        v = np.asarray(m @ u).ravel() / np.sqrt(theta[0])
-    v = v / np.linalg.norm(v)
+    """Unit-norm top eigenvector of M M^T for a dense or sparse M, from
+    :func:`kcca._top_singular`, with its largest-magnitude entry positive.
+    Raises DegenerateProjection when M is zero."""
+    s, v, _ = _top_singular(m, m.T)
+    if s == 0:
+        raise DegenerateProjection("kernel has no positive eigenvalue")
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return v
@@ -879,8 +869,9 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
     from the full corpus). ``jobs`` > 1 fans the tasks out to worker
     processes; the reduction order is fixed, so reports are identical for
     any worker count. Raises BadSetting for a count that is not an integer
-    (``n_folds``, ``n_inner``, ``jobs``, ``top_k``), ``jobs`` below 1, an
-    empty ``feed_ids`` or a negative ``top_k``, before any fit.
+    (``n_folds``, ``n_inner``, ``jobs``, ``top_k``), ``jobs`` below 1, a
+    ``feed_ids`` that is empty or not a list of strings, or a negative
+    ``top_k``, before any fit.
     """
     _check_seed(seed)
     _check_count("jobs", jobs)
@@ -894,6 +885,9 @@ def analyze(corpus: Corpus, grid: HyperGrid | None = None, n_folds: int = 10,
 
     if feed_ids is None:
         feed_ids = corpus.feed_ids
+    elif not isinstance(feed_ids, (list, tuple)) or not all(
+            isinstance(f, str) for f in feed_ids):
+        raise BadSetting(f"feed_ids must be a list of strings, got {feed_ids!r}")
     elif not feed_ids:
         raise BadSetting("feed filter is empty; name at least one feed, or "
                          "pass None for all")

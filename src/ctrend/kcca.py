@@ -27,7 +27,8 @@ on the dual) to eigenbasis coordinates. So the solve, the projections and
 the cross term z_x z_y^T do not depend on the route; only building a side
 and recovering its primal weight do. :func:`_fit_pair` solves, orients and
 measures the pair on two factors; ``solve_kcca`` and the per-fold fit of
-``evaluation`` both run it.
+``evaluation`` both run it. The batched inner scorer and the LSA baseline
+take a top singular triple from the smaller Gram (:func:`_top_singular`).
 
 Only the first canonical pair is computed. The kernels are linear (Gram
 matrices), which is what makes primal-weight recovery possible. A side's
@@ -294,29 +295,31 @@ def _canonical_pairs(theta_x: np.ndarray, theta_y: np.ndarray,
     return s[:, 0], uu[:, :, 0] / sqrt_dx, vt[:, 0, :] / sqrt_dy
 
 
-def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
-               kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_canonical_pairs` for a stack of problems, top pair only.
-
-    ``theta_x`` (g, rx), ``theta_y`` (g, ry) and ``cross`` (g, rx, ry) give
-    per problem and kappa the eigenvalue (g, k) and the rows a (g, k, rx),
-    b (g, k, ry). Instead of a full SVD of each reduced matrix M it takes
-    the top eigenvector of the smaller Gram matrix (M^T M or M M^T) and
-    recovers the other side as M v / s; the reduction stays exact. Where M
-    is zero the recovered side is zero rather than undefined.
-    """
-    sqrt_dx, sqrt_dy, m = _reduced_problem(theta_x, theta_y, cross, kappas)
-    mt = np.swapaxes(m, -1, -2)
+def _top_singular(m, mt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top singular triple s, u, v of a dense (..., p, q) stack M or of one
+    scipy sparse M, given M and ``mt`` = M^T. One side is the top
+    eigenvector of the smaller Gram matrix (densified), the other is
+    recovered as M v / s or M^T u / s, and is zero where M is zero."""
     small_right = m.shape[-1] <= m.shape[-2]
+    gram = mt @ m if small_right else m @ mt
     try:
-        _, vecs = np.linalg.eigh(mt @ m if small_right else m @ mt)
+        _, vecs = np.linalg.eigh(gram.toarray() if sp.issparse(gram) else gram)
     except np.linalg.LinAlgError as e:
         raise NumericalFailure(f"reduced eigensolve did not converge: {e}") from None
     top = vecs[..., -1]
     other = ((m if small_right else mt) @ top[..., None])[..., 0]
     s = np.linalg.norm(other, axis=-1)
     other = _divide_or_zero(other, s[..., None])
-    u, v = (other, top) if small_right else (top, other)
+    return (s, other, top) if small_right else (s, top, other)
+
+
+def _top_pairs(theta_x: np.ndarray, theta_y: np.ndarray, cross: np.ndarray,
+               kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_canonical_pairs`' top pair by :func:`_top_singular`, for a
+    stack: ``theta_x`` (g, rx), ``theta_y`` (g, ry) and ``cross`` (g, rx, ry)
+    give the eigenvalue (g, k) and the rows a (g, k, rx), b (g, k, ry)."""
+    sqrt_dx, sqrt_dy, m = _reduced_problem(theta_x, theta_y, cross, kappas)
+    s, u, v = _top_singular(m, np.swapaxes(m, -1, -2))
     return s, u / sqrt_dx, v / sqrt_dy
 
 

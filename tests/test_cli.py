@@ -472,6 +472,18 @@ def test_analyze_empty_feed_filter_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("feeds", ["X,", ",X", "X,,Y"])
+def test_analyze_empty_feed_item_is_usage_error(tmp_path, capsys, feeds):
+    # the corpus does not exist: the flag is checked before it loads
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--corpus", tmp_path / "missing", "--out",
+             tmp_path / "out", "--feeds", feeds])
+    assert exc.value.code == 2
+    assert (f"error: --feeds {feeds!r} has an empty item"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_names_infeasible_inner_cv(tmp_path, capsys):
     corpus_dir = tmp_path / "toy"
     assert run(["synth", "--mode", "toy", "--seed", 1, "--T", 140,

@@ -553,6 +553,19 @@ def test_lsa_direction_one_term_or_one_sample():
                        rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(30, 8), (5, 40), (1, 9), (7, 1)])
+def test_lsa_direction_sparse_matches_dense(shape):
+    # d > n, d < n, one term, one sample
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    m = rng.random(shape) * (rng.random(shape) < 0.6)
+    m[0, 0] = 1.0
+    dense = lsa_direction(m)
+    sparse = lsa_direction(sp.csc_matrix(m))
+    assert sparse.shape == dense.shape == (shape[0],)
+    assert np.allclose(sparse, dense, rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(dense) - 1) < 1e-12
+
+
 def test_lsa_identical_feeds_score_near_one():
     # a smooth shared series: the best lagged copy stays highly correlated
     t = np.linspace(0, 4 * np.pi, 200)
@@ -685,7 +698,11 @@ def test_bad_seed_is_named_before_any_fit(monkeypatch, seed):
     ({"jobs": -2}, "jobs must be at least 1, got -2"),
     ({"feed_ids": []}, "feed filter is empty"),
     ({"feed_ids": [], "jobs": 2}, "feed filter is empty"),
-    ({"top_k": -1}, "top_k must be at least 0, got -1")])
+    ({"top_k": -1}, "top_k must be at least 0, got -1"),
+    # a string would be iterated as one-character feed ids
+    ({"feed_ids": "XY"}, "feed_ids must be a list of strings, got 'XY'"),
+    ({"feed_ids": ["X", 1]}, r"feed_ids must be a list of strings, got \['X', 1\]"),
+    ({"feed_ids": {"X"}}, r"feed_ids must be a list of strings, got \{'X'\}")])
 def test_analyze_names_a_bad_setting_before_any_fit(monkeypatch, setting, message):
     monkeypatch.setattr(evaluation, "_fit_feed_fold", None)  # a fit would fail
     c = generate_toy(ToyConfig(T=400, seed=0))

@@ -362,3 +362,60 @@ def test_top_pairs_kappa_floor():
     with pytest.raises(BadKappa, match="kappa=nan"):
         _top_pairs(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2, 2)),
                    np.array([1.0, np.nan]))
+
+
+# ---------------------------------------------------------------------------
+# one top singular triple, for the batch and for the LSA baseline
+
+def test_top_singular_stack_is_bit_equal_per_matrix():
+    from ctrend.kcca import _top_singular
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((3, 2, 7, 5))  # (g, k, r, c)
+    s, u, v = _top_singular(m, np.swapaxes(m, -1, -2))
+    assert s.shape == (3, 2) and u.shape == (3, 2, 7) and v.shape == (3, 2, 5)
+    for g in range(3):
+        for k in range(2):
+            one = _top_singular(m[g, k], m[g, k].T)
+            assert np.array_equal(s[g, k], one[0])
+            assert np.array_equal(u[g, k], one[1])
+            assert np.array_equal(v[g, k], one[2])
+
+
+@pytest.mark.parametrize("shape", [(30, 7), (7, 30), (9, 9)])
+def test_top_singular_matches_svd(shape):
+    from ctrend.kcca import _top_singular
+    m = np.random.default_rng(shape[0] * 100 + shape[1]).standard_normal(shape)
+    s, u, v = _top_singular(m, m.T)
+    uu, ss, vt = np.linalg.svd(m)
+    assert abs(s - ss[0]) < 1e-12 * ss[0]
+    sign = np.sign(u @ uu[:, 0])  # the pair is defined up to a joint sign
+    assert np.allclose(sign * u, uu[:, 0], rtol=0, atol=1e-12)
+    assert np.allclose(sign * v, vt[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6)])
+def test_top_singular_of_zero_is_zero(shape):
+    from ctrend.kcca import _top_singular
+    m = np.zeros(shape)
+    with np.errstate(all="raise"):
+        s, u, v = _top_singular(m, m.T)
+    assert s == 0.0
+    # the recovered side is zero; the eigenvector side is any unit vector
+    recovered = u if shape[1] <= shape[0] else v
+    assert np.all(recovered == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(40, 9), (9, 40), (1, 12), (12, 1)])
+def test_top_singular_sparse_matches_dense(shape):
+    from ctrend.kcca import _top_singular
+    rng = np.random.default_rng(shape[0] + shape[1])
+    m = rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+    m[0, 0] = 1.0  # not all zero
+    dense = _top_singular(m, m.T)
+    csc = sp.csc_matrix(m)
+    sparse = _top_singular(csc, csc.T)
+    assert abs(sparse[0] - dense[0]) < 1e-12 * dense[0]
+    sign = np.sign(sparse[1] @ dense[1])  # one joint sign for u and v
+    for got, want in zip(sparse[1:], dense[1:]):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.allclose(sign * got, want, rtol=0, atol=1e-12)
