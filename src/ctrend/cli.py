@@ -46,8 +46,9 @@ log = logging.getLogger("ctrend")
 
 def _grid_spec(spec: str, convert, flag: str, forms: str) -> tuple[tuple, bool]:
     """The numbers of a grid spec and whether it is a ``lo..hi`` range, or a
-    ValueError that names the flag, the token that is not a number and the
-    accepted forms."""
+    ValueError that names the flag, the token that is not a number or the
+    range that runs from high to low, and the accepted forms (a kappa
+    range's ends must be positive and finite, and are checked first)."""
     spec = spec.strip()
     is_range = ".." in spec
     numbers = []
@@ -59,6 +60,12 @@ def _grid_spec(spec: str, convert, flag: str, forms: str) -> tuple[tuple, bool]:
             where = "" if token == spec else f" in {spec!r}"
             raise ValueError(f"{flag}: {token.strip()!r}{where} is not {kind}; "
                              f"write {forms}") from None
+    if is_range and convert is float and not all(0.0 < e < math.inf for e in numbers):
+        raise ValueError(f"kappa range ends must be positive and finite, "
+                         f"got {spec}")
+    if is_range and numbers[0] > numbers[1]:
+        raise ValueError(f"{flag}: the range {spec!r} runs from high to low; "
+                         f"write {forms}")
     return tuple(numbers), is_range
 
 
@@ -75,9 +82,6 @@ def parse_kappas(spec: str) -> tuple[float, ...]:
                                 "a decade range 1e-5..1e1 or a list 1e-3,0.1,1")
     if not is_range:
         return ends
-    if not all(0.0 < e < math.inf for e in ends):
-        raise ValueError(f"kappa range ends must be positive and finite, "
-                         f"got {spec.strip()}")
     lo, hi = math.log10(ends[0]), math.log10(ends[1])
     lo_i, hi_i = round(lo), round(hi)
     if abs(lo - lo_i) > 1e-9 or abs(hi - hi_i) > 1e-9:
@@ -225,8 +229,6 @@ def _cmd_featurize(args, parser) -> int:
         if t0.tzinfo is None:
             t0 = t0.replace(tzinfo=tz)
     else:
-        if not docs:
-            parser.error("--t0 is required when the document file is empty")
         first = min(d.timestamp for d in docs).astimezone(tz)
         t0 = first.replace(minute=0, second=0, microsecond=0)  # to the hour
     bin_width = args.bin_hours
@@ -237,7 +239,7 @@ def _cmd_featurize(args, parser) -> int:
         T = max(int(span / bin_width) + 1, 1)  # a late --t0 is named below
 
     corpus = featurize(docs, vocab, t0, bin_width, T, tokens)
-    if docs and corpus.n_dropped == len(docs):
+    if corpus.n_dropped == len(docs):
         first = min(d.timestamp for d in docs)
         last = max(d.timestamp for d in docs)
         raise BadWindow(

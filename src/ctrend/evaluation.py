@@ -9,11 +9,12 @@ correlation is recorded, and feeds are ranked by their mean fold score.
 
 No lag embedding is kept. One reader, :class:`_LagEmbedding`, reads a
 feed's lag-L embedding from the raw feed a whole lag block at a time
-(lag-L column j stacks raw columns j+trim-L .. j+trim-1); it is the
-bottom row block of the lag-max embedding. The Grams of the lags that
-can take the dual route come from one transient read of the lag-max
-embedding per feed, and the dual weight is formed a lag block at a time,
-so no full copy of the training columns is made. The solver core is in
+(lag-L column j stacks raw columns j+trim-L .. j+trim-1; it is the
+bottom row block of the lag-max embedding), and the trimmed pool as lag
+0. A Gram matrix is built when a dual side first asks for it, the
+feed's from one transient read of the lag-max embedding (:class:`_Grams`),
+and the dual weight is formed a lag block at a time, so no full copy of
+the training columns is made. The solver core is in
 :mod:`kcca`: the side factors, the spectrum cut and the one canonical
 fit, which the final fold fit shares with ``solve_kcca``. Inner folds on
 the primal route (dense embedding no wider than the fold's training set)
@@ -28,16 +29,15 @@ baseline takes its directions from the batch's ``kcca._top_singular``.
 feed's outer folds in ``min(jobs, n_folds)`` contiguous runs, then its
 shuffle control in the same runs, each on the feed's columns permuted by
 the same seed. A task builds the feed's working set that it fits on (its
-pool, Grams, and dense copies of the feed and pool where a fold can take
-the primal route, :func:`_dense_copy`; a feed wider than its trimmed time
-axis keeps the caller's sparse ones), and the set is dropped when the
-task returns; the feed's first run also scores the baseline on it. So a
-process holds one working set at a time, whatever the number of feeds,
-and each of the up to ``jobs`` worker processes holds up to one. All
-randomness is confined to the shuffle control, with per-feed seeds
-derived from the master seed, the feed id and the task purpose; given
-identical inputs the whole analysis is deterministic regardless of
-worker count.
+pool, dense copies of the feed and pool where a fold can take the primal
+route, :func:`_dense_copy`, else the caller's sparse ones, and the Grams
+its dual sides ask for), and the set is dropped when the task returns;
+the feed's first run also scores the baseline on it. So a process holds
+one working set at a time, whatever the number of feeds, and each of the
+up to ``jobs`` worker processes holds up to one. All randomness is
+confined to the shuffle control, with per-feed seeds derived from the
+master seed, the feed id and the task purpose; given identical inputs the
+whole analysis is deterministic regardless of worker count.
 """
 
 from __future__ import annotations
@@ -221,18 +221,19 @@ class FoldOutcome:
 
 class _LagEmbedding:
     """The lag-``lag`` embedding of a feed on the axis trimmed by ``trim``,
-    read from the feed's working copy ``x_raw`` and never stored: column j
-    stacks the raw columns j+trim-lag .. j+trim-1 top to bottom, so the
-    bottom block is lag 1. It is ``dense`` exactly when the copy is, which
-    decides the primal route's eligibility and the format of :meth:`cols`.
-    A column source of :class:`kcca._SideFactor` whose every read takes
-    whole lag blocks, each the feed's rows at shifted columns.
-    """
+    read from the working copy ``x_raw`` and never stored: column j stacks
+    the raw columns j+trim-lag .. j+trim-1 top to bottom, so the bottom
+    block is lag 1; lag 0 reads raw column j+trim (the trimmed pool). It is
+    ``dense`` exactly when the copy is, which decides the primal route's
+    eligibility and the format of :meth:`cols`. A column source of
+    :class:`kcca._SideFactor` whose every read takes whole lag blocks, each
+    the raw rows at shifted columns, and whose Gram comes from ``grams``."""
 
-    def __init__(self, x_raw, lag: int, trim: int):
-        self.x_raw, self.lag, self.trim = x_raw, lag, trim
+    def __init__(self, x_raw, lag: int, trim: int, grams=None):
+        self.x_raw, self.lag, self.trim, self.grams = x_raw, lag, trim, grams
+        self.blocks = max(lag, 1)
         self.dense = not sp.issparse(x_raw)
-        self.shape = (x_raw.shape[0] * lag, x_raw.shape[1] - trim)
+        self.shape = (x_raw.shape[0] * self.blocks, x_raw.shape[1] - trim)
 
     def _block(self, idx, b: int):
         """Lag block ``b`` of columns ``idx``, 0 at the top (lag ``lag``)."""
@@ -242,11 +243,11 @@ class _LagEmbedding:
         """All rows of columns ``idx``: csc where the embedding is sparse,
         else dense and column-major."""
         if not self.dense:
-            return sp.vstack([self._block(idx, b) for b in range(self.lag)],
+            return sp.vstack([self._block(idx, b) for b in range(self.blocks)],
                              format="csc")
         w = self.x_raw.shape[0]
         out = np.empty((self.shape[0], len(idx)), order="F")
-        for b in range(self.lag):
+        for b in range(self.blocks):
             out[b * w:(b + 1) * w] = self._block(idx, b)
         return out
 
@@ -254,45 +255,50 @@ class _LagEmbedding:
         """``cols(idx) @ c``, formed one lag block at a time, so that no
         more than one block is held."""
         return np.concatenate([np.asarray(self._block(idx, b) @ c).ravel()
-                               for b in range(self.lag)])
+                               for b in range(self.blocks)])
+
+    def gram(self, n: int) -> np.ndarray:
+        """The Gram over all columns, for a dual side of ``n`` training
+        columns."""
+        return self.grams.get(self.lag, n)
 
 
-def _lag_grams(x, trim: int, top: int, lags, small: bool) -> dict:
-    """Full-axis Gram matrix of each lag in ``lags``, from one transient
-    read of the lag-``top`` embedding of ``x`` (:func:`_gram_input`), each
-    lag's being its bottom row block."""
-    if not lags:
-        return {}
-    emb = _LagEmbedding(x, top, trim)
-    emb_max = _gram_input(emb.cols(np.arange(emb.shape[1])), small)
-    w = x.shape[0]
-    return {lag: linear_kernel(emb_max[w * (top - lag):]) for lag in lags}
+class _Grams:
+    """A working set's full-axis Gram matrices by lag, each built when a
+    dual side first asks. ``groups`` pairs the feed, then the pool (lag 0;
+    read second, for the lower peak), with its lags. A request from a fold
+    of n training columns builds every missing Gram wider than n, a group's
+    from one read of its widest lag (densified column-major when ``small``).
+    It holds raw matrices, not readers: no reference cycle with them."""
 
+    def __init__(self, groups, trim: int, small: bool):
+        self.groups, self.trim, self.small, self.built = groups, trim, small, {}
 
-def _gram_input(m, small: bool):
-    """``m``, dense and column-major where it is sparse and ``small``."""
-    return m.toarray(order="F") if small and sp.issparse(m) else m
+    def get(self, lag: int, n: int) -> np.ndarray:
+        for raw, lags in self.groups:
+            w, top = raw.shape[0], max(lags)
+            new = [k for k in lags if w * max(k, 1) > n and k not in self.built]
+            if new:
+                emb = _LagEmbedding(raw, top, self.trim)
+                emb = emb.cols(np.arange(emb.shape[1]))
+                if self.small and sp.issparse(emb):
+                    emb = emb.toarray(order="F")
+                self.built.update((k, linear_kernel(emb[w * (top - k):])) for k in new)
+                del emb  # before the next read
+        return self.built[lag]
 
 
 class _FeedData:
-    """Per-feed precomputed views shared by every fold and grid point.
+    """Per-feed working set shared by every fold and grid point.
 
     ``emb[lag]`` is the lag's embedding on the axis trimmed by ``trim`` (at
-    least the largest lag), read a lag block at a time from the raw feed
-    (:class:`_LagEmbedding`). No embedding is kept. ``gram_x`` maps each
-    lag wider than ``min_train`` (the fewest training columns any fold
-    will factor, so every lag that can take the dual route) to its
-    full-axis Gram matrix (:func:`_lag_grams`); ``gram_y`` is the trimmed
-    pool's when the pool is wider than ``min_train``, else None. Both come
-    from the caller's matrices before any dense copy exists; feed and pool
-    share W x T, so one size decision makes both Gram inputs dense and
-    column-major under the cap. ``x_raw`` and ``pool_raw`` are dense copies
-    under the cap where some fold can take the primal route
-    (:func:`_dense_copy`), else the caller's matrices.
-    """
+    least the largest lag) and ``pool`` the trimmed pool, never stored but
+    read a lag block at a time (:class:`_LagEmbedding`) from ``x_raw`` and
+    ``pool_raw``: dense copies under the size cap where some fold can take
+    the primal route (:func:`_dense_copy`), else the caller's matrices.
+    Their Gram matrices are built from those on demand (:class:`_Grams`)."""
 
-    def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int,
-                 min_train: int):
+    def __init__(self, x_raw, pool_raw, grid: HyperGrid, trim: int):
         if trim < grid.max_lag:
             raise SeriesTooShort(f"trim {trim} is below the largest lag "
                                  f"{grid.max_lag}; use trim >= {grid.max_lag}")
@@ -300,25 +306,13 @@ class _FeedData:
         self.trim = trim
         self.grid = grid
         small = w * t <= _DENSE_LIMIT
-        # a Gram needs two samples; no fold factors fewer
-        grams = t - trim >= 2
-        self.gram_x = _lag_grams(x_raw, trim, grid.max_lag, [
-            lag for lag in grid.lags if grams and w * lag > min_train], small)
-        self.gram_y = (linear_kernel(_gram_input(pool_raw[:, trim:], small))
-                       if grams and pool_raw.shape[0] > min_train else None)
         if small and _dense_copy(w, t, trim):
             x_raw, pool_raw = (m.toarray() if sp.issparse(m) else m
                                for m in (x_raw, pool_raw))
         self.x_raw, self.pool_raw = x_raw, pool_raw
-        self.pool_trim = pool_raw[:, trim:]
-        self.emb = {lag: _LagEmbedding(x_raw, lag, trim) for lag in grid.lags}
-
-
-def _fewest_train(outer_trains, n_inner: int, trim: int) -> int:
-    """Fewest training columns any fold factors: the smallest training set
-    of the inner plans over ``outer_trains``, which contain them."""
-    return min(len(f.train_indices) for train in outer_trains
-               for f in plan_folds(np.asarray(train, dtype=int), n_inner, trim).folds)
+        grams = _Grams(((x_raw, grid.lags), (pool_raw, (0,))), trim, small)
+        self.emb = {lag: _LagEmbedding(x_raw, lag, trim, grams) for lag in grid.lags}
+        self.pool = _LagEmbedding(pool_raw, 0, trim, grams)
 
 
 def _pearson_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -346,7 +340,7 @@ def _fold_moments(data: _FeedData, plan: FoldPlan, fold_ids
     """
     axis = plan.axis
     z = np.vstack((_cols(data.emb[data.grid.max_lag], axis),
-                   _cols(data.pool_trim, axis)))
+                   _cols(data.pool, axis)))
     folds = [plan.folds[i] for i in fold_ids]
     spans = []  # per fold: [test start, discard end) in axis positions
     cuts = {0, len(axis)}
@@ -414,7 +408,7 @@ def _score_fold_primal(data: _FeedData, plan: FoldPlan, fold_ids,
     for f, i in enumerate(fold_ids):
         test = plan.folds[i].test_indices
         x_te = _cols(data.emb[grid.max_lag], test) - means[f, :d_max, None]
-        y_te = _cols(data.pool_trim, test) - means[f, d_max:, None]
+        y_te = _cols(data.pool, test) - means[f, d_max:, None]
         u = w_x[f].reshape(-1, d_max) @ x_te
         v = w_y[f].reshape(-1, w_y.shape[-1]) @ y_te
         tables[f] = _pearson_rows(u, v).reshape(len(grid.lags), n_k)
@@ -426,13 +420,13 @@ def _score_fold_generic(data: _FeedData, train_idx, test_idx,
     grid = data.grid
     scores = np.zeros((len(grid.lags), len(kappas)))
     try:
-        sy = _SideFactor(data.pool_trim, train_idx, data.gram_y)
+        sy = _SideFactor(data.pool, train_idx)
     except DegenerateProjection:
         return scores  # pool side has no variance: fold scores zero
     prep_y = sy.prepare_cols(test_idx)
     for li, lag in enumerate(grid.lags):
         try:
-            sx = _SideFactor(data.emb[lag], train_idx, data.gram_x.get(lag))
+            sx = _SideFactor(data.emb[lag], train_idx)
         except DegenerateProjection:
             continue  # counts as zero for every kappa
         _, a, b = _canonical_pairs(sx.theta, sy.theta, sx.z @ sy.z.T, kappas)
@@ -466,7 +460,7 @@ def _nested_select(data: _FeedData, train_positions, n_inner: int
     # training set; those folds are scored in batches of _BATCH_BYTES
     primal = [i for i, fold in enumerate(inner_plan.folds)
               if emb_max.dense and d_max <= len(fold.train_indices)]
-    side = d_max + data.pool_trim.shape[0]
+    side = d_max + data.pool.shape[0]
     size = max(1, _BATCH_BYTES // (4 * 8 * side * side))
     tables = {}
     for lo in range(0, len(primal), size):
@@ -539,8 +533,8 @@ def _fit_feed_fold(data: _FeedData, fold: Fold, fold_index: int,
                    n_inner: int) -> FoldOutcome:
     lag, kappa, inner_scores = _nested_select(data, fold.train_indices, n_inner)
     try:
-        sx = _SideFactor(data.emb[lag], fold.train_indices, data.gram_x.get(lag))
-        sy = _SideFactor(data.pool_trim, fold.train_indices, data.gram_y)
+        sx = _SideFactor(data.emb[lag], fold.train_indices)
+        sy = _SideFactor(data.pool, fold.train_indices)
     except DegenerateProjection:
         return FoldOutcome(fold_index, lag, kappa, 0.0, True, None, None, None,
                            [], inner_scores)
@@ -592,14 +586,14 @@ def lsa_baseline(x_feed, pool, plan: FoldPlan, lags, trim: int
     the best test correlation over the same lag grid the main method
     searches. Returns fold scores and the per-lag table behind the max.
     """
-    pool_trim = pool[:, trim:]
+    y_trim = pool[:, trim:]
     x_trim = x_feed[:, trim:]
     fold_scores: list[float] = []
     per_lag_all: list[list[float | None]] = []
     for fold in plan.folds:
         try:
             v_x = lsa_direction(x_trim[:, fold.train_indices])
-            v_y = lsa_direction(pool_trim[:, fold.train_indices])
+            v_y = lsa_direction(y_trim[:, fold.train_indices])
         except DegenerateProjection:
             fold_scores.append(0.0)
             per_lag_all.append([None] * len(lags))
@@ -731,12 +725,20 @@ def _check_seed(seed) -> None:
 
 
 def _context(corpus: Corpus, grid: HyperGrid, n_folds: int, n_inner: int) -> dict:
-    """The outer plan and ``min_train``; checks the fold counts and the
-    inner CV before any fit."""
+    """The outer plan, after the checks of the fold counts and the CV."""
     _check_count("n_folds", n_folds)
     _check_count("n_inner", n_inner)
     trim = grid.max_lag
-    plan = plan_folds(corpus.T - trim, n_folds, trim)
+    try:
+        plan = plan_folds(corpus.T - trim, n_folds, trim)
+    except TooShortForFolds as e:
+        # the largest lag and fold count that the corpus holds, if any
+        lag = (corpus.T - 2 * n_folds) // (n_folds + 1)
+        folds = max(corpus.T - trim, 0) // (trim + 2)
+        fixes = [f"T >= {n_folds * (trim + 2) + trim}"]
+        fixes += [f"--lags up to {lag}"] if lag >= 1 else []
+        fixes += [f"--folds <= {folds}"] if folds >= 2 else []
+        raise TooShortForFolds(f"{e}; use " + " or ".join(fixes)) from None
     _check_inner_cv(plan, n_inner)
     return {
         "corpus": corpus,
@@ -744,8 +746,6 @@ def _context(corpus: Corpus, grid: HyperGrid, n_folds: int, n_inner: int) -> dic
         "grid": grid,
         "trim": trim,
         "n_inner": n_inner,
-        "min_train": _fewest_train([f.train_indices for f in plan.folds],
-                                   n_inner, trim),
     }
 
 
@@ -758,8 +758,7 @@ def _fit_run(ctx: dict, feed_id: str, folds: range, with_lsa: bool,
     x = corpus.feed(feed_id).matrix
     if shuffle_seed is not None:
         x = x[:, _sample_permutation(np.random.default_rng(shuffle_seed), corpus.T)]
-    data = _FeedData(x, pool_excluding(corpus, feed_id), ctx["grid"],
-                     ctx["trim"], ctx["min_train"])
+    data = _FeedData(x, pool_excluding(corpus, feed_id), ctx["grid"], ctx["trim"])
     outcomes = [_fit_feed_fold(data, plan.folds[i], i, ctx["n_inner"])
                 for i in folds]
     if not with_lsa:

@@ -169,12 +169,12 @@ class _SideFactor:
     """Centered, spectrally factored view of one side's training columns,
     on the primal or the dual route (see the module docstring).
 
-    ``data_full`` is a d x n matrix, or a column source that never holds
+    ``data_full`` is a column source of a d x n matrix that never holds
     it, such as the lag embeddings of ``evaluation``: an object with
-    ``shape``, ``cols(idx)`` (``m[:, idx]``) and ``cols_dot(idx, c)`` (the
-    flat ``m[:, idx] @ c``, formed in pieces of its choosing). The dual
-    route reads columns only for the primal weight; its Gram matrix over
-    all columns is ``gram``, which the primal route ignores.
+    ``shape``, ``cols(idx)`` (``m[:, idx]``), ``cols_dot(idx, c)`` (the
+    flat ``m[:, idx] @ c``, formed in pieces of its choosing) and
+    ``gram(n)``, the full Gram matrix, which a dual side of n training
+    columns asks for. The primal route also takes a plain matrix.
 
     Both routes hold the same solve-facing representation: ``theta``, the
     kept eigenvalues of the centered training kernel, ``z`` (r x n), its
@@ -185,7 +185,7 @@ class _SideFactor:
     covariance's ``eigh``, z = (U / sigma)^T Ac and t = diag(sigma) U^T.
     """
 
-    def __init__(self, data_full, train_idx, gram=None):
+    def __init__(self, data_full, train_idx):
         self.data_full = data_full
         self.train_idx = np.asarray(train_idx, dtype=int)
         n = len(self.train_idx)
@@ -200,7 +200,7 @@ class _SideFactor:
             self.z = (u / sigma).T @ ac
             self.t = sigma[:, None] * u.T
         else:
-            self.k_full = gram
+            self.k_full = data_full.gram(n)
             k_train = self.k_full[np.ix_(self.train_idx, self.train_idx)]
             kc, self.means = center_kernel(k_train)
             self.theta, u = _psd_eigenbasis(kc)
@@ -223,10 +223,7 @@ class _SideFactor:
     def primal_weight(self, a: np.ndarray) -> np.ndarray:
         if self.primal:
             return self.t.T @ a
-        m, c = self.data_full, self.dual_coef(a)
-        if hasattr(m, "cols"):
-            return m.cols_dot(self.train_idx, c)
-        return np.asarray(m[:, self.train_idx] @ c).ravel()
+        return self.data_full.cols_dot(self.train_idx, self.dual_coef(a))
 
     def prepare_cols(self, idx) -> np.ndarray:
         """Centered evaluation data for :meth:`project_batch`."""

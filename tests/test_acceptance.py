@@ -27,7 +27,6 @@ from ctrend.cli import main as cli_main
 from ctrend.corpus import Corpus, FeedSeries
 from ctrend.evaluation import (
     _FeedData,
-    _fewest_train,
     _fit_feed_fold,
     derive_seed,
     shuffle_control,
@@ -148,9 +147,7 @@ def test_criterion_04_lambda_is_training_correlation(toy_runs):
         for feed_id in ("X", "Y"):
             data = _FeedData(corpus.feed(feed_id).matrix,
                              pool_excluding(corpus, feed_id),
-                             run.grid, run.trim,
-                             _fewest_train([f.train_indices for f in run.plan.folds],
-                                           run.n_inner, run.trim))
+                             run.grid, run.trim)
             for outcome in run.fold_outcomes[feed_id]:
                 model = outcome.model
                 if model is None:
@@ -158,8 +155,8 @@ def test_criterion_04_lambda_is_training_correlation(toy_runs):
                 tr = run.plan.folds[outcome.fold].train_indices
                 emb = _cols(data.emb[outcome.n_lags], tr)
                 ac = emb - emb.mean(axis=1, keepdims=True)
-                yc = data.pool_trim[:, tr] \
-                    - data.pool_trim[:, tr].mean(axis=1, keepdims=True)
+                y = _cols(data.pool, tr)
+                yc = y - y.mean(axis=1, keepdims=True)
                 u = ac.T @ (ac @ model.alpha)  # alpha' Kc, kernel applied assoc.
                 v = yc.T @ (yc @ model.beta)
                 du, dv = u - u.mean(), v - v.mean()
@@ -226,9 +223,7 @@ def test_criterion_08_leak_freedom(toy_runs):
             base_fit = run.fold_outcomes[feed_id][fold_i]
             data = _FeedData(corrupted.feed(feed_id).matrix,
                              pool_excluding(corrupted, feed_id),
-                             run.grid, run.trim,
-                             _fewest_train([fold.train_indices], run.n_inner,
-                                           run.trim))
+                             run.grid, run.trim)
             redo_fit = _fit_feed_fold(data, fold, fold_i, run.n_inner)
             base, redo = base_fit.model, redo_fit.model
             if (np.array_equal(base.alpha, redo.alpha)
@@ -276,10 +271,9 @@ def test_criterion_10_bounds_and_monotonicity(toy_runs):
     grid = HyperGrid()
     tr = runs[42].plan.folds[0].train_indices
     data = _FeedData(corpus.feed("X").matrix,
-                     pool_excluding(corpus, "X"), grid, grid.max_lag,
-                     _fewest_train([tr], runs[42].n_inner, grid.max_lag))
+                     pool_excluding(corpus, "X"), grid, grid.max_lag)
     kx, _ = center_kernel(linear_kernel(_cols(data.emb[5], tr)))
-    ky, _ = center_kernel(linear_kernel(data.pool_trim[:, tr]))
+    ky, _ = center_kernel(linear_kernel(_cols(data.pool, tr)))
     monotone = True
     prev_eig, prev_lam = np.inf, np.inf
     for kappa in grid.kappas:

@@ -139,6 +139,22 @@ def test_featurize_empty_docs(tmp_path, capsys):
     docs = tmp_path / "docs.jsonl"
     docs.write_text("")
     assert run(["featurize", "--docs", docs, "--out", tmp_path / "c"]) == 1
+    assert capsys.readouterr().err == ("error: no term survived tokenization "
+                                       "and filtering\n")
+    assert not (tmp_path / "c").exists()
+
+
+def test_featurize_stopwords_file(tmp_path):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(DOCS)
+    words = tmp_path / "stop.txt"
+    words.write_text("Ash\n\n  again \n")  # case, blank lines and spaces
+    out = tmp_path / "corpus"
+    assert run(["featurize", "--docs", docs, "--out", out, "--no-stem",
+                "--stopwords", words, "--t0", "2011-10-01T00:00:00Z",
+                "--T", 2]) == 0
+    assert load_corpus(out).vocabulary.terms == ["cloud", "launch", "new",
+                                                 "phone", "volcano"]
 
 
 def test_featurize_bad_timezone_and_t0_are_usage_errors(tmp_path):
@@ -388,6 +404,26 @@ _MODEL_EDITS = {
     "position-off-axis": (lambda m: m["feeds"]["X"][0].update(test_positions=[496]),
                           "models file feed 'X' fold entry 0: 'test_positions' "
                           "must be a list of integers in 0..495"),
+    "feeds-not-object": (lambda m: m.update(feeds=[]),
+                         "models file key 'feeds' must map feed ids to fold lists"),
+    "folds-not-list": (lambda m: m["feeds"].update(X={}),
+                       "models file feed 'X': folds must be a list"),
+    "entry-not-object": (lambda m: m["feeds"]["X"].__setitem__(0, 5),
+                         "models file feed 'X' fold entry 0: must be an object"),
+    "string-fold": (lambda m: m["feeds"]["X"][0].update(fold="0"),
+                    "models file feed 'X' fold entry 0: 'fold' must be an integer"),
+    **{f"n_lags-{value}": (lambda m, v=value: m["feeds"]["X"][0].update(n_lags=v),
+                           "models file feed 'X' fold entry 0: 'n_lags' must be "
+                           "an integer in 1..4")
+       for value in (0, 5)},
+    "w_x-not-numbers": (lambda m: m["feeds"]["X"][0].update(w_x="x"),
+                        "models file feed 'X' fold entry 0: 'w_x' must be a 6 x "
+                        "{n_lags} array (terms x lags)"),
+    "ragged-positions": (lambda m: m["feeds"]["X"][0].update(
+                             test_positions=[[1, 2], [3]]),
+                         "models file feed 'X' fold entry 0: 'test_positions' "
+                         "must be a list of integers in 0..495"),
+    "feed-missing": (lambda m: m["feeds"].pop("X"), "models file has no feed 'X'"),
 }
 
 
@@ -448,7 +484,10 @@ def test_bad_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag,
     ("--lags", "1..x", "--lags: 'x' in '1..x' is not an integer"),
     ("--kappas", "x", "--kappas: 'x' is not a number"),
     ("--kappas", "1e-3,,1", "--kappas: '' in '1e-3,,1' is not a number"),
-    ("--kappas", "1e-3..x", "--kappas: 'x' in '1e-3..x' is not a number")])
+    ("--kappas", "1e-3..x", "--kappas: 'x' in '1e-3..x' is not a number"),
+    ("--lags", "3..1", "--lags: the range '3..1' runs from high to low"),
+    ("--kappas", "1e1..1e-5", "--kappas: the range '1e1..1e-5' runs from high "
+                              "to low")])
 def test_analyze_grid_syntax_error_names_the_flag(tmp_path, capsys, flag,
                                                   value, message):
     with pytest.raises(SystemExit) as exc:
@@ -497,6 +536,23 @@ def test_analyze_names_infeasible_inner_cv(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # failed before any fitting
     assert run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
                 "--folds", 10, "--lags", "1..10", "--inner-folds", 8]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--lags", "1..20"], "axis of length 40 cannot support 10 folds with 20 "
+                          "lags (need at least 220); use T >= 240 or --lags up to 3"),
+    (["--lags", "1..8", "--folds", 6],
+     "axis of length 52 cannot support 6 folds with 8 lags (need at least 60); "
+     "use T >= 68 or --lags up to 6 or --folds <= 5")])
+def test_analyze_names_infeasible_outer_cv(tmp_path, capsys, args, message):
+    corpus_dir = tmp_path / "toy"
+    assert run(["synth", "--mode", "toy", "--seed", 1, "--T", 60,
+                "--out", corpus_dir]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--corpus", corpus_dir, "--out", tmp_path / "out",
+                *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_missing_corpus(tmp_path, capsys):

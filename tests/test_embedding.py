@@ -144,9 +144,10 @@ def test_embed_strict_causality():
 def test_trim_pool_drops_head():
     c = corpus_from([np.arange(8.0).reshape(2, 4), np.ones((2, 4))])
     data = _FeedData(c.feeds[1].matrix, pool_excluding(c, "f1"),
-                     HyperGrid(lags=(1, 2), kappas=(1.0,)), 2, 2)
-    assert data.pool_trim.shape == (2, 2)
-    assert np.array_equal(data.pool_trim, np.arange(8.0).reshape(2, 4)[:, 2:])
+                     HyperGrid(lags=(1, 2), kappas=(1.0,)), 2)
+    assert data.pool.shape == (2, 2)
+    assert np.array_equal(_cols(data.pool, [0, 1]),
+                          np.arange(8.0).reshape(2, 4)[:, 2:])
 
 
 def test_trim_pool_alignment_with_embedding():
@@ -156,10 +157,10 @@ def test_trim_pool_alignment_with_embedding():
     c = corpus_from([x, y])
     n_lags = 3
     data = _FeedData(c.feeds[0].matrix, pool_excluding(c, "f0"),
-                     HyperGrid(lags=(n_lags,), kappas=(1.0,)), n_lags, 9)
+                     HyperGrid(lags=(n_lags,), kappas=(1.0,)), n_lags)
     cols = np.arange(12 - n_lags)
     emb = _cols(data.emb[n_lags], cols)
-    trimmed = _cols(data.pool_trim, cols)
+    trimmed = _cols(data.pool, cols)
     assert np.array_equal(emb, embed(x, n_lags))
     for j in cols:
         t = j + n_lags
@@ -173,4 +174,4 @@ def test_trim_pool_too_short():
     with pytest.raises(TooShortForFolds):
         analyze(c, grid, n_folds=2)  # trimming 3 leaves no time axis
     with pytest.raises(SeriesTooShort, match="trim 2 is below the largest lag 3"):
-        _FeedData(c.feeds[0].matrix, pool_excluding(c, "f0"), grid, 2, 2)
+        _FeedData(c.feeds[0].matrix, pool_excluding(c, "f0"), grid, 2)

@@ -34,8 +34,9 @@ from ctrend.embedding import embed_columns
 from ctrend.evaluation import (
     FeedReport,
     _FeedData,
+    _Grams,
+    _LagEmbedding,
     _batched_eigenbases,
-    _fewest_train,
     _fit_feed_fold,
     _fold_moments,
     _nested_select,
@@ -73,6 +74,7 @@ from ctrend.reporting import (
     build_models,
     build_report,
     dumps,
+    write_analysis_outputs,
     write_topwords_from_models,
 )
 from ctrend.synth import LeaderConfig, generate_leader
@@ -238,12 +240,6 @@ def test_hypergrid_names_lags_that_are_not_a_sequence(lags):
 # ---------------------------------------------------------------------------
 # selection
 
-def _fold_data(x, pool, grid, trim, fold, n_inner):
-    """The feed data nested selection builds for ``fold``'s training block."""
-    return _FeedData(x, pool, grid, trim,
-                     _fewest_train([fold.train_indices], n_inner, trim))
-
-
 def test_select_best_tie_breaks():
     grid = HyperGrid(lags=(1, 2), kappas=(0.1, 1.0))
     scores = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -258,8 +254,7 @@ def test_nested_select_single_point():
     c = generate_toy(ToyConfig(T=300, seed=0))
     grid = HyperGrid(lags=(3,), kappas=(1e-2,))
     fold = plan_folds(c.T - 3, 5, 3).folds[0]
-    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X"), grid, 3,
-                      fold, 5)
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), grid, 3)
     lag, kappa, scores = _nested_select(data, fold.train_indices, 5)
     assert (lag, kappa) == (3, 1e-2)
     assert scores.shape == (1, 1)
@@ -269,8 +264,8 @@ def test_nested_select_covers_true_lag():
     c = generate_toy(ToyConfig(T=800, seed=1))
     trim = SMALL_GRID.max_lag
     fold = plan_folds(c.T - trim, 5, trim).folds[0]
-    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID,
-                      trim, fold, 5)
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID,
+                     trim)
     lag, _, _ = _nested_select(data, fold.train_indices, 5)
     assert lag >= 3
 
@@ -278,15 +273,13 @@ def test_nested_select_covers_true_lag():
 def test_nested_select_rejects_trim_below_largest_lag():
     c = generate_toy(ToyConfig(T=300, seed=0))
     with pytest.raises(SeriesTooShort, match="trim 2 .* largest lag 4"):
-        _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID, 2,
-                  _fewest_train([np.arange(300)], 10, 2))
+        _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID, 2)
 
 
 def test_nested_select_too_short():
     c = generate_toy(ToyConfig(T=300, seed=0))
-    # min_train: any value; the toy feed's widest lag (24 rows) builds no Gram
     data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X"), SMALL_GRID,
-                     SMALL_GRID.max_lag, 40)
+                     SMALL_GRID.max_lag)
     with pytest.raises(TooShortForFolds):  # no inner plan fits 40 columns
         _nested_select(data, np.arange(40), 10)
 
@@ -299,8 +292,8 @@ def test_nested_select_too_short():
 def test_correlation_noiseless_limit():
     c = generate_toy(ToyConfig(T=1200, gamma=0.999999, seed=2))
     fold = plan_folds(c.T - 4, 5, 4).folds[2]
-    data = _fold_data(c.feed("X").matrix, pool_excluding(c, "X"),
-                      SMALL_GRID, 4, fold, 5)
+    data = _FeedData(c.feed("X").matrix, pool_excluding(c, "X"),
+                     SMALL_GRID, 4)
     out = _fit_feed_fold(data, fold, 2, 5)
     assert out.correlation > 0.99
 
@@ -318,9 +311,10 @@ def test_correlation_via_kernel_blocks_matches_fold():
     pool = pool_excluding(c, "X")
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[1]
-    data = _fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5)
+    data = _FeedData(c.feed("X").matrix, pool, grid, 3)
     out = _fit_feed_fold(data, fold, 1, 5)
-    emb, pool_trim = _cols(data.emb[3], np.arange(c.T - 3)), data.pool_trim
+    emb = _cols(data.emb[3], np.arange(c.T - 3))
+    pool_trim = _cols(data.pool, np.arange(c.T - 3))
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
@@ -348,10 +342,10 @@ def test_fold_fit_dual_route_matches_kernel_solve():
     plan = plan_folds(c.T - 2, 4, 2)
     fold = plan.folds[1]
     assert 40 * 2 > len(fold.train_indices)  # forces the dual route
-    data = _fold_data(c.feed("f0").matrix, pool, grid, 2, fold, 4)
+    data = _FeedData(c.feed("f0").matrix, pool, grid, 2)
     out = _fit_feed_fold(data, fold, 1, 4)
     emb = _cols(data.emb[2], np.arange(c.T - 2))
-    pool_trim = np.asarray(data.pool_trim)
+    pool_trim = _cols(data.pool, np.arange(c.T - 2))
     tr, te = fold.train_indices, fold.test_indices
     kx, mx = center_kernel(linear_kernel(emb[:, tr]))
     ky, my = center_kernel(linear_kernel(pool_trim[:, tr]))
@@ -363,15 +357,19 @@ def test_fold_fit_dual_route_matches_kernel_solve():
     assert abs(c_kernel - out.correlation) < 1e-9
 
 
+def _source(m):
+    """All columns of a plain matrix as a column source: the pool reader of
+    a working set with no lag and no trim."""
+    return _LagEmbedding(m, 0, 0, _Grams(((m, (0,)),), 0, True))
+
+
 def test_side_factor_routes_agree():
-    from ctrend.evaluation import _SideFactor
     rng = np.random.default_rng(4)
     full = rng.standard_normal((6, 60))
     idx = np.arange(10, 50)
     primal = _SideFactor(full, idx)
     assert primal.primal
-    stacked = sp.csc_matrix(np.vstack([full] * 12))
-    dual = _SideFactor(stacked, idx, linear_kernel(stacked))
+    dual = _SideFactor(_source(sp.csc_matrix(np.vstack([full] * 12))), idx)
     assert not dual.primal
     # kernel spectra of the stacked matrix are 12x the originals
     assert np.allclose(dual.theta[:len(primal.theta)], 12 * primal.theta,
@@ -387,8 +385,7 @@ def test_side_factor_routes_agree():
     sx = kept_rows(primal, dual)
     other = rng.standard_normal((4, 60))
     primal_y = _SideFactor(other, idx)
-    stacked_y = sp.csc_matrix(np.vstack([other] * 12))
-    dual_y = _SideFactor(stacked_y, idx, linear_kernel(stacked_y))
+    dual_y = _SideFactor(_source(sp.csc_matrix(np.vstack([other] * 12))), idx)
     assert primal_y.primal and not dual_y.primal
     sy = kept_rows(primal_y, dual_y)
     # so the cross term z_x z_y^T agrees over all four route pairs, up to
@@ -407,8 +404,8 @@ def test_degenerate_projection_scored_zero():
     c = corpus_from(mats)
     grid = HyperGrid(lags=(1,), kappas=(1e-2,))
     fold = plan_folds(59, 4, 1).folds[0]
-    data = _fold_data(c.feed("f0").matrix, pool_excluding(c, "f0"),
-                      grid, 1, fold, 4)
+    data = _FeedData(c.feed("f0").matrix, pool_excluding(c, "f0"),
+                     grid, 1)
     out = _fit_feed_fold(data, fold, 0, 4)
     assert out.degenerate
     assert out.correlation == 0.0
@@ -578,6 +575,39 @@ def test_lsa_identical_feeds_score_near_one():
     assert len(scores) == 4
     assert min(scores) > 0.9
     assert all(len(row) == 2 for row in per_lag)
+
+
+def test_feed_dirs_of_colliding_ids_are_numbered(tmp_path):
+    """Feed ids that sanitize to one directory name get numbered ones, in
+    report order."""
+    rng = np.random.default_rng(14)
+    c = corpus_from([rng.random((2, 60)) for _ in range(3)], ids=["a/b", "a_b", "c"])
+    res = analyze(c, HyperGrid(lags=(1,), kappas=(1e-2,)), n_folds=2, n_inner=2,
+                  feed_ids=["a/b", "a_b"])
+    paths = write_analysis_outputs(res, c, "h", tmp_path)
+    assert (paths["a/b"].name, paths["a_b"].name) == ("a_b", "a_b_1")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["a_b", "a_b_1"]
+
+
+def test_lsa_baseline_scores_a_degenerate_fold_zero(monkeypatch):
+    """A fold whose feed training columns are all zero has no LSA direction:
+    it scores 0.0 with no per-lag value, and no correlogram is formed."""
+    rng = np.random.default_rng(13)
+    plan = plan_folds(60 - 2, 3, 2)
+    x = np.zeros((3, 60))
+    test = plan.folds[0].test_indices + 2
+    x[:, test] = rng.random((3, len(test)))  # nonzero only there
+    scored = []
+
+    def counted(w_x, w_y, x_feed, pool, eval_times, _fn=canonical_correlogram):
+        scored.append(eval_times[0])
+        return _fn(w_x, w_y, x_feed, pool, eval_times)
+
+    monkeypatch.setattr(evaluation, "canonical_correlogram", counted)
+    scores, per_lag = lsa_baseline(x, rng.random((3, 60)), plan, (1, 2), 2)
+    assert len(scores) == len(per_lag) == 3
+    assert scores[0] == 0.0 and per_lag[0] == [None, None]
+    assert scored == [f.test_indices[0] + 2 for f in plan.folds[1:]]
 
 
 def test_ct_beats_lsa_on_multi_feed_family():
@@ -991,7 +1021,7 @@ def test_emit_trend_unit_energy_and_consistency():
     pool = pool_excluding(c, "X")
     plan = plan_folds(c.T - 3, 5, 3)
     fold = plan.folds[2]
-    out = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, 3, fold, 5),
+    out = _fit_feed_fold(_FeedData(c.feed("X").matrix, pool, grid, 3),
                          fold, 2, 5)
     x = c.feed("X").matrix
     times = fold.test_indices + 3
@@ -1019,8 +1049,7 @@ def test_training_blind_to_test_block():
     pool = pool_excluding(c, "X")
     plan = plan_folds(c.T - trim, 5, trim)
     for fold in plan.folds[:2]:
-        base = _fit_feed_fold(_fold_data(c.feed("X").matrix, pool, grid, trim,
-                                         fold, 5),
+        base = _fit_feed_fold(_FeedData(c.feed("X").matrix, pool, grid, trim),
                               fold, fold.test_indices[0], 5)
         rng = np.random.default_rng(99)
         corrupted = [f.matrix.toarray() for f in c.feeds]
@@ -1028,8 +1057,8 @@ def test_training_blind_to_test_block():
         for m in corrupted:
             m[:, test_times] = rng.standard_normal((m.shape[0], len(test_times)))
         c2 = corpus_from(corrupted, ids=[f.feed_id for f in c.feeds])
-        data2 = _fold_data(c2.feed("X").matrix, pool_excluding(c2, "X"),
-                           grid, trim, fold, 5)
+        data2 = _FeedData(c2.feed("X").matrix, pool_excluding(c2, "X"),
+                          grid, trim)
         redo = _fit_feed_fold(data2, fold, fold.test_indices[0], 5)
         assert np.array_equal(base.model.alpha, redo.model.alpha)
         assert np.array_equal(base.model.beta, redo.model.beta)
@@ -1047,7 +1076,7 @@ def _scoring_data(x, pool, grid, n_outer, n_inner, outer=0):
     selection builds them, with trim at the largest lag."""
     trim = grid.max_lag
     fold = plan_folds(x.shape[1] - trim, n_outer, trim).folds[outer]
-    return (_fold_data(x, pool, grid, trim, fold, n_inner),
+    return (_FeedData(x, pool, grid, trim),
             plan_folds(fold.train_indices, n_inner, trim))
 
 
@@ -1209,7 +1238,7 @@ def test_nested_select_mixes_routes_when_folds_are_narrower_than_d(monkeypatch):
     x = np.outer(rng.standard_normal(w), latent) + rng.standard_normal((w, T))
     pool = np.outer(rng.standard_normal(4), np.roll(latent, 1)) \
         + 0.5 * rng.standard_normal((4, T))
-    data = _fold_data(x, pool, grid, 1, outer, 5)
+    data = _FeedData(x, pool, grid, 1)
     _, _, scores = _nested_select(data, outer.train_indices, 5)
     narrow = sum(n < w for n in sizes)
     assert sorted(routes) == ["_score_fold_generic"] * narrow + ["_score_fold_primal"]
@@ -1298,9 +1327,9 @@ def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
     """The dual-route primal weight, formed one lag block at a time, against
     the product with a copy of all the training columns of the embedding:
     bit for bit on sparse columns, where a row sums in column order however
-    its rows are cut, and on a plain matrix, which is not cut. A dense lag
-    block may round differently in the last bit (W = 1003 is not a multiple
-    of 4, the row group of OpenBLAS's dgemv)."""
+    its rows are cut. A dense lag block may round differently in the last
+    bit (W = 1003 is not a multiple of 4, the row group of OpenBLAS's
+    dgemv)."""
     rng = np.random.default_rng(11)
     w, t, lag = 1003, 160, 3
     x = rng.standard_normal((w, t)) * (rng.random((w, t)) < 0.1)
@@ -1310,14 +1339,12 @@ def test_dual_weight_chunks_equal_the_full_copy_product(monkeypatch):
 
     def weights(x_in):
         """The primal weight from the lag embedding and from its full copy."""
-        emb = _FeedData(x_in, x_in, grid, lag, t).emb[lag]  # no Gram needed
-        m = embed_columns(x_in, lag)
-        gram = linear_kernel(m)
-        side = _SideFactor(emb, idx, gram)
+        emb = _FeedData(x_in, x_in, grid, lag).emb[lag]
+        side = _SideFactor(emb, idx)
         assert not side.primal
-        plain = _SideFactor(m, idx, gram)
         a_kept = a[:len(side.theta)]
-        return emb, side.primal_weight(a_kept), plain.primal_weight(a_kept)
+        full = embed_columns(x_in, lag)[:, idx] @ side.dual_coef(a_kept)
+        return emb, side.primal_weight(a_kept), np.asarray(full).ravel()
 
     # W > T - trim: a csc feed keeps sparse columns, a dense one dense ones
     emb, got, want = weights(sp.csc_matrix(x))
@@ -1338,11 +1365,10 @@ def test_dual_weight_allocates_no_more_than_one_lag_block():
     w, t, lag = 60, 160, 4
     x = rng.standard_normal((w, t))
     grid = HyperGrid(lags=(lag,), kappas=(1.0,))
-    data = _FeedData(x, x, grid, lag, w * lag - 1)
-    emb = data.emb[lag]
+    emb = _FeedData(x, x, grid, lag).emb[lag]
     assert emb.dense and w <= t - lag < w * lag
     idx = np.arange(t - lag)
-    side = _SideFactor(emb, idx, data.gram_x[lag])
+    side = _SideFactor(emb, idx)
     assert not side.primal
     a = rng.standard_normal(len(side.theta))
     block_bytes = 8 * w * len(idx)
@@ -1358,31 +1384,74 @@ def test_dual_weight_allocates_no_more_than_one_lag_block():
     assert np.abs(weight - full).max() <= 1e-14 * np.abs(full).max()
 
 
+def _gram_work(monkeypatch, corpus, **kw):
+    """Analyze ``corpus``; returns each working set's Grams (``_Grams``,
+    with the lags of its reads, 0 for the pool, in ``reads``) and the
+    number of Gram matrices computed. Undoes its patches on return."""
+    books, kernels, asking = [], [], []
+    init, get, cols = _Grams.__init__, _Grams.get, _LagEmbedding.cols
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        self.reads = []
+        books.append(self)
+
+    def tracked_get(self, lag, n):
+        asking.append(self)
+        try:
+            return get(self, lag, n)
+        finally:
+            asking.pop()
+
+    def counted_cols(self, idx):
+        if asking:  # a read for Grams
+            asking[-1].reads.append(self.lag)
+        return cols(self, idx)
+
+    def counted_kernel(m, _fn=linear_kernel):
+        kernels.append(m.shape)
+        return _fn(m)
+
+    monkeypatch.setattr(_Grams, "__init__", tracked_init)
+    monkeypatch.setattr(_Grams, "get", tracked_get)
+    monkeypatch.setattr(_LagEmbedding, "cols", counted_cols)
+    monkeypatch.setattr(evaluation, "linear_kernel", counted_kernel)
+    analyze(corpus, **kw)
+    monkeypatch.undo()
+    return books, len(kernels)
+
+
 def test_leader_shaped_feed_builds_no_gram(monkeypatch):
-    """A feed no wider than its folds' training sets reads no lag-max
-    embedding for Grams; a dual feed reads it once per working set."""
-    reads = []
-
-    def counted(x, trim, top, lags, small, _fn=evaluation._lag_grams):
-        if lags:
-            reads.append(top)
-        return _fn(x, trim, top, lags, small)
-
-    monkeypatch.setattr(evaluation, "_lag_grams", counted)
-    c = generate_leader(LeaderConfig(F=4, W=6, T=300, seed=5))
+    """A feed no wider than its folds' training sets reads nothing for
+    Grams; a text-shaped feed (W > T - trim) does one read of its lag-max
+    embedding and one of its pool per working set, and builds each Gram
+    once."""
     grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
-    plan = plan_folds(c.T - 3, 3, 3)
-    data = _FeedData(c.feed("leader").matrix, pool_excluding(c, "leader"),
-                     grid, 3, _fewest_train(
-                         [f.train_indices for f in plan.folds], 3, 3))
-    assert data.gram_x == {} and data.gram_y is None
-    analyze(c, grid, n_folds=3, n_inner=3, with_lsa=True, with_shuffle=True)
-    assert reads == []
-    # a dual corpus reads it once per analysed feed and per shuffle control
+    c = generate_leader(LeaderConfig(F=4, W=6, T=300, seed=5))
+    books, kernels = _gram_work(monkeypatch, c, grid=grid, n_folds=3,
+                                n_inner=3, with_lsa=True, with_shuffle=True)
+    assert len(books) == 8 and kernels == 0
+    assert all(b.reads == [] and b.built == {} for b in books)
+    # one working set per analysed feed and per shuffle control
     d = _sparse_dual_corpus(3)
-    analyze(d, grid, n_folds=3, n_inner=2, feed_ids=["f0", "f1"],
-            with_shuffle=True)
-    assert reads == [3] * 4
+    books, kernels = _gram_work(monkeypatch, d, grid=grid, n_folds=3,
+                                n_inner=2, feed_ids=["f0", "f1"],
+                                with_shuffle=True)
+    assert len(books) == 4 and kernels == 4 * 4
+    for b in books:
+        assert b.reads == [3, 0] and sorted(b.built) == [0, 1, 2, 3]
+
+
+def test_each_gram_is_built_once_per_working_set(monkeypatch):
+    """On a feed whose widest lag takes the dual route in the inner folds
+    and the primal route in the final fit, only that lag's Gram is built,
+    once per working set, from one read; the pool stays primal."""
+    grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
+    c = generate_leader(LeaderConfig(F=3, W=60, T=300, seed=5))
+    books, kernels = _gram_work(monkeypatch, c, grid=grid, n_folds=3,
+                                n_inner=3, feed_ids=["leader"])
+    assert len(books) == 1 and kernels == 1
+    assert books[0].reads == [3] and sorted(books[0].built) == [3]
 
 
 @pytest.mark.parametrize("limit", [evaluation._DENSE_LIMIT, 0],
@@ -1395,13 +1464,14 @@ def test_lag_grams_of_a_csc_feed_are_kernels_of_embed_columns(monkeypatch, limit
     w, t = x.shape
     trim, top = 4, 3
     monkeypatch.setattr(evaluation, "_DENSE_LIMIT", limit)
-    data = _FeedData(x, pool, HyperGrid(lags=(1, 2, 3), kappas=(1.0,)), trim, 80)
+    data = _FeedData(x, pool, HyperGrid(lags=(1, 2, 3), kappas=(1.0,)), trim)
     emb_max = embed_columns(x[:, trim - top:], top)
     if limit:
         emb_max = emb_max.toarray(order="F")
-    assert sorted(data.gram_x) == [1, 2, 3]
+    data.emb[1].gram(80)  # a fold of 80 training columns: every lag is wider
+    assert sorted(data.pool.grams.built) == [0, 1, 2, 3]
     for lag in (1, 2, 3):
-        assert np.array_equal(data.gram_x[lag],
+        assert np.array_equal(data.emb[lag].gram(80),
                               linear_kernel(emb_max[w * (top - lag):]))
 
 
@@ -1411,12 +1481,13 @@ def test_dual_feed_keeps_no_array_as_large_as_the_lag_max_embedding():
     emb_bytes = 8 * x.shape[0] * 3 * (x.shape[1] - 3)
     tracemalloc.start()
     try:
-        data = _FeedData(x, pool, grid, 3, 80)
+        data = _FeedData(x, pool, grid, 3)
+        gram_y = data.pool.gram(80)
         biggest = max(tr.size for tr in tracemalloc.take_snapshot().traces)
     finally:
         tracemalloc.stop()
-    assert sorted(data.gram_x) == [1, 2, 3]
-    assert np.array_equal(data.gram_y, linear_kernel(pool.toarray()[:, 3:]))
+    assert sorted(data.pool.grams.built) == [0, 1, 2, 3]
+    assert np.array_equal(gram_y, linear_kernel(pool.toarray()[:, 3:]))
     assert biggest < emb_bytes / 2
 
 
@@ -1429,7 +1500,8 @@ def test_wide_sparse_feed_keeps_a_sparse_working_set(monkeypatch):
     grid = HyperGrid(lags=(1, 2, 3), kappas=(1e-2,))
     tracemalloc.start()
     try:
-        data = _FeedData(x, pool, grid, 3, 80)
+        data = _FeedData(x, pool, grid, 3)
+        data.pool.gram(80)
         biggest = max(tr.size for tr in tracemalloc.take_snapshot().traces)
     finally:
         tracemalloc.stop()
@@ -1437,12 +1509,13 @@ def test_wide_sparse_feed_keeps_a_sparse_working_set(monkeypatch):
     assert not any(emb.dense for emb in data.emb.values())
     assert biggest < 8 * w * t
     _force_dense_copies(monkeypatch)
-    dense = _FeedData(x, pool, grid, 3, 80)
+    dense = _FeedData(x, pool, grid, 3)
     assert isinstance(dense.x_raw, np.ndarray) and dense.emb[3].dense
-    assert sorted(data.gram_x) == sorted(dense.gram_x) == [1, 2, 3]
-    for lag in grid.lags:
-        assert np.array_equal(data.gram_x[lag], dense.gram_x[lag])
-    assert np.array_equal(data.gram_y, dense.gram_y)
+    for reader, copy in zip([*data.emb.values(), data.pool],
+                            [*dense.emb.values(), dense.pool]):
+        assert np.array_equal(reader.gram(80), copy.gram(80))
+    assert sorted(data.pool.grams.built) == sorted(dense.pool.grams.built) \
+        == [0, 1, 2, 3]
 
 
 def test_analysis_on_a_sparse_working_set_matches_dense_copies(monkeypatch):
@@ -1498,11 +1571,12 @@ def test_benchmark_text_corpus_builds_a_sparse_working_set(tmp_path):
     ctx = evaluation._context(c, grid, 5, 5)
     x = c.feed("leader").matrix
     assert c.W > c.T - ctx["trim"]
-    data = _FeedData(x, pool_excluding(c, "leader"), grid, ctx["trim"],
-                     ctx["min_train"])
+    data = _FeedData(x, pool_excluding(c, "leader"), grid, ctx["trim"])
     assert data.x_raw is x and sp.issparse(data.pool_raw)
     assert not any(emb.dense for emb in data.emb.values())
-    assert sorted(data.gram_x) == [1, 2, 3] and data.gram_y is not None
+    inner = plan_folds(ctx["plan"].folds[0].train_indices, 5, ctx["trim"])
+    data.pool.gram(len(inner.folds[0].train_indices))
+    assert sorted(data.pool.grams.built) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("d", [12, 36, 72])

@@ -22,6 +22,7 @@ from ctrend.exceptions import (
     SingularRhs,
     TooFewSamples,
 )
+from ctrend.evaluation import _Grams, _LagEmbedding
 from ctrend.kcca import _SideFactor, _fit_pair
 from oracles import generalized_eig_top, input_space_cca, naive_gram
 
@@ -270,11 +271,17 @@ def test_toy_holdout_correlation():
 # ---------------------------------------------------------------------------
 # primal recovery
 
+def _source(m):
+    """All columns of a plain matrix as a column source: the pool reader of
+    a working set with no lag and no trim."""
+    return _LagEmbedding(m, 0, 0, _Grams(((m, (0,)),), 0, True))
+
+
 def _fit_sides(x, y, kappa):
     """The fold fit's pair on all columns of x and y, as ``analyze`` runs
     it: the model and both sides' primal weights."""
-    sx = _SideFactor(x, np.arange(x.shape[1]), linear_kernel(x))
-    sy = _SideFactor(y, np.arange(y.shape[1]), linear_kernel(y))
+    sx = _SideFactor(_source(x), np.arange(x.shape[1]))
+    sy = _SideFactor(_source(y), np.arange(y.shape[1]))
     model, a, b = _fit_pair(sx, sy, kappa)
     return model, sx.primal_weight(a), sy.primal_weight(b)
 

@@ -66,8 +66,7 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
     idx = np.asarray(picks.draw(st.lists(st.integers(0, t - trim - 1),
                                          min_size=1, max_size=t - trim)))
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
-        # no lag is wider than W * max lag training columns: builds no Gram
-        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, w * grid.max_lag)
+        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim)
     # the working copy is dense under the size cap where some fold can take
     # the primal route (W <= T - trim); old: the lag-max embedding it stacks
     sparse = sparse_input and not (w * t <= limit and w <= t - trim)
@@ -75,7 +74,6 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
     top = grid.max_lag
     kept = embed_columns(x_copy[:, trim - top:], top)
     old = {lag: kept[w * (top - lag):] for lag in grid.lags}
-    assert data.gram_x == {} and data.gram_y is None
     for lag in grid.lags:
         emb = data.emb[lag]
         ref = embed_columns(x_in, lag)[:, trim - lag:]
@@ -90,6 +88,7 @@ def test_lag_embedding_is_row_block_of_lag_max(case, sparse_input, picks):
         was = was.toarray() if sp.issparse(was) else was
         assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
             (was.flags.c_contiguous, was.flags.f_contiguous)
+    assert data.pool.grams.built == {}  # no Gram until a dual side asks
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -99,10 +98,10 @@ def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
     """Each Gram is the kernel of a row block of the public lag-max
     embedding, whose type and memory layout its input keeps too (BLAS may
     round differently per layout): dense and column-major under the size
-    cap, whatever the input's format. The pool's Gram is built exactly when
-    the pool is wider than ``min_train``, and is the kernel of the trimmed
-    pool by the same rule, whether or not the working set keeps a dense
-    copy."""
+    cap, whatever the input's format. A request from a fold of n training
+    columns builds every lag's Gram, all wider than n, and then the pool's
+    exactly when the pool is wider than n, the kernel of the trimmed pool by
+    the same rule, whether or not the working set keeps a dense copy."""
     x, pool, grid, trim, limit = case
     x_in = as_input(x)
     w, t = x.shape
@@ -117,29 +116,30 @@ def test_dual_gram_is_kernel_of_materialized_row_block(case, as_input):
         inputs.append(m)
         return _fn(m)
 
-    min_train = x.shape[0] * min(grid.lags) - 1
+    n = x.shape[0] * min(grid.lags) - 1  # every lag is wider
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit), \
             mock.patch.object(evaluation, "linear_kernel", spy):
-        # every lag is wider than min_train, so every Gram is built
-        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim, min_train)
+        data = _FeedData(x_in, sp.csc_matrix(pool), grid, trim)
+        data.emb[grid.max_lag].gram(n)
         old = _materialized(x_in, grid, trim)
+    built = data.pool.grams.built
     # the lag Grams come first; lag inputs by row count, which differs per lag
     seen = {m.shape[0]: layout(m) for m in inputs[:len(grid.lags)]}
     pool_calls = inputs[len(grid.lags):]
     assert len(seen) == len(grid.lags)
     for lag in grid.lags:
-        assert np.array_equal(data.gram_x[lag], linear_kernel(old[lag]))
+        assert np.array_equal(built[lag], linear_kernel(old[lag]))
         assert seen[old[lag].shape[0]] == layout(old[lag])
-    if pool.shape[0] > min_train:
+    if pool.shape[0] > n:
         pool_in = sp.csc_matrix(pool)
         old_pool = pool_in[:, trim:]
         if w * t <= limit:
             old_pool = old_pool.toarray(order="F")
         assert len(pool_calls) == 1
         assert layout(pool_calls[0]) == layout(old_pool)
-        assert np.array_equal(data.gram_y, linear_kernel(old_pool))
+        assert np.array_equal(built[0], linear_kernel(old_pool))
     else:
-        assert pool_calls == [] and data.gram_y is None
+        assert pool_calls == [] and 0 not in built
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,7 @@ def test_fold_moments_equal_two_pass_over_training_columns(case, shape, seed,
     plan = evaluation.plan_folds(axis, n_folds, trim)
     ids = picks.draw(st.lists(st.integers(0, n_folds - 1), min_size=1,
                               unique=True))
-    # min_train: no lag is wider than the fewest training columns (no Gram)
-    data = _FeedData(x, pool, HyperGrid(lags=lags, kappas=(1.0,)), trim,
-                     w * trim)
+    data = _FeedData(x, pool, HyperGrid(lags=lags, kappas=(1.0,)), trim)
     means, scatter = evaluation._fold_moments(data, plan, ids)
     z = np.vstack((embed_columns(x, trim), pool[:, trim:]))
     for f, i in enumerate(ids):
@@ -341,9 +339,7 @@ def test_fit_is_bit_identical_when_the_test_block_is_randomized(case, sparse_inp
         # sparse input stays sparse, so that the generic route scores too
         limit = 0 if sparse_input else evaluation._DENSE_LIMIT
         with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
-            data = _FeedData(as_input(x), as_input(pool), grid, trim,
-                             evaluation._fewest_train([fold.train_indices],
-                                                      n_inner, trim))
+            data = _FeedData(as_input(x), as_input(pool), grid, trim)
             return _fit_feed_fold(data, fold, fold_i, n_inner)
 
     base = fit(x, pool)
@@ -393,13 +389,12 @@ def test_fit_eigenvalue_matches_kernel_solve_and_oracle(case):
     # and the sparse Gram run too
     limit = 0 if sparse_input else evaluation._DENSE_LIMIT
     with mock.patch.object(evaluation, "_DENSE_LIMIT", limit):
-        data = _FeedData(as_input(x), as_input(pool), grid, lag,
-                         evaluation._fewest_train([fold.train_indices], 2, lag))
+        data = _FeedData(as_input(x), as_input(pool), grid, lag)
         out = _fit_feed_fold(data, fold, 0, 2)
     assert (out.n_lags, out.kappa) == (lag, kappa)
     emb = _cols(data.emb[lag], fold.train_indices)
     kx, _ = center_kernel(linear_kernel(emb))
-    ky, _ = center_kernel(linear_kernel(_cols(data.pool_trim, fold.train_indices)))
+    ky, _ = center_kernel(linear_kernel(_cols(data.pool, fold.train_indices)))
     reference = generalized_eig_top(kx, ky, kappa)
     assert abs(out.model.eigenvalue - solve_kcca(kx, ky, kappa).eigenvalue) < 1e-9
     assert abs(out.model.eigenvalue - reference) < 1e-9
